@@ -1,20 +1,22 @@
 // Quickstart: maintain an adversarially robust sample of a stream through
-// the public Sketch[T] surface.
+// the public packages.
 //
 // This example sizes a reservoir per Theorem 1.2 of "The Adversarial
 // Robustness of Sampling" (Ben-Eliezer & Yogev, PODS 2020) via
-// sketch.NewRobustReservoir, feeds it a stream, and verifies the sample is
-// an eps-approximation of the stream with respect to all prefix ranges —
-// the guarantee that would hold (with probability 1-delta) even if every
-// element had been chosen by an adversary watching the sample.
+// sketch.NewRobustReservoir, feeds a stream to a one-shard engine holding a
+// reservoir of that size, and reads the engine's exact verdict: whether the
+// sample is an eps-approximation of the stream with respect to all prefix
+// ranges — the guarantee that would hold (with probability 1-delta) even if
+// every element had been chosen by an adversary watching the sample.
 //
 // Run: go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"math/rand/v2"
 
-	"robustsample"
+	"robustsample/shard"
 	"robustsample/sketch"
 )
 
@@ -31,44 +33,58 @@ func main() {
 	}
 
 	// Theorem 1.2: k = 2 (ln|U| + ln(2/delta)) / eps^2. Constructors
-	// return errors instead of panicking; the sketch owns its RNG.
-	res, err := sketch.NewRobustReservoir(u, eps, delta, n, sketch.WithSeed(42))
+	// return errors instead of panicking.
+	sized, err := sketch.NewRobustReservoir(u, eps, delta, n)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("robust reservoir size k = %d (Theorem 1.2)\n", res.K())
+	k := sized.K()
+	fmt.Printf("robust reservoir size k = %d (Theorem 1.2)\n", k)
 
-	// Feed a stream. Here it is a skewed static workload; the guarantee
-	// would be the same against any adaptive choice.
-	r := robustsample.NewRNG(42)
-	stream := make([]int64, n)
-	for i := range stream {
-		// Mixture: mostly low values, occasional high spikes.
-		if r.Bernoulli(0.8) {
-			stream[i] = 1 + r.Int63n(universe/8)
-		} else {
-			stream[i] = universe/2 + r.Int63n(universe/2)
-		}
-	}
-	if _, err := res.OfferBatch(stream); err != nil {
+	// A one-shard engine is a reservoir of that size that also keeps the
+	// exact prefix-system verdict of everything it has seen.
+	engine, err := shard.New(u,
+		shard.WithSystem(shard.Prefixes),
+		shard.WithReservoir(k),
+		shard.WithSeed(42),
+	)
+	if err != nil {
 		panic(err)
 	}
 
-	// Exact verdict via the facade's set system against the encoded view
-	// (the identity universe encodes values as themselves).
-	sys := robustsample.NewPrefixes(universe)
-	d := sys.MaxDiscrepancy(stream, res.EncodedView())
-	fmt.Printf("sample size |S| = %d\n", res.Len())
-	fmt.Printf("exact approximation error = %.4f (target eps = %.2f)\n", d.Err, eps)
-	fmt.Printf("worst range = [%d, %d]\n", d.Lo, d.Hi)
-	if d.Err <= eps {
+	// Feed a stream. Here it is a skewed static workload; the guarantee
+	// would be the same against any adaptive choice.
+	r := rand.New(rand.NewPCG(42, 0))
+	stream := make([]int64, n)
+	for i := range stream {
+		// Mixture: mostly low values, occasional high spikes.
+		if r.Float64() < 0.8 {
+			stream[i] = 1 + r.Int64N(universe/8)
+		} else {
+			stream[i] = universe/2 + r.Int64N(universe/2)
+		}
+	}
+	if _, err := engine.OfferBatch(stream); err != nil {
+		panic(err)
+	}
+
+	v, err := engine.Verdict()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("sample size |S| = %d\n", engine.SampleLen())
+	fmt.Printf("exact approximation error = %.4f (target eps = %.2f)\n", v.Err, eps)
+	if v.HasWitness {
+		fmt.Printf("worst range = [%d, %d]\n", v.Lo, v.Hi)
+	}
+	if v.Err <= eps {
 		fmt.Println("sample IS an eps-approximation of the stream ✓")
 	} else {
 		fmt.Println("sample is NOT an eps-approximation (probability <= delta)")
 	}
 
-	// The sketch is serializable: checkpoint and resume bit-identically.
-	snap, err := res.Snapshot()
+	// The engine is serializable: checkpoint and resume bit-identically.
+	snap, err := engine.Snapshot()
 	if err != nil {
 		panic(err)
 	}

@@ -208,3 +208,13 @@ func TestRequiredLogUniverseScale(t *testing.T) {
 		t.Fatalf("required ln N = %v exceeds paper ceiling", got)
 	}
 }
+
+// Exact unbounded-universe attack throughput.
+func BenchmarkExactBisectionAttack(b *testing.B) {
+	root := rng.New(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunExactBisectionReservoir(10000, 20, root)
+	}
+}

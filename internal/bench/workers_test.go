@@ -8,7 +8,7 @@ import (
 )
 
 // TestTablesByteIdenticalAcrossWorkerCounts renders a representative subset
-// of experiments (covering EstimateRobustness fan-out, continuous games,
+// of experiments (covering EstimateRobustnessWorkers fan-out, continuous games,
 // bespoke attack loops, and the martingale harness) serially and on an
 // oversubscribed pool, and requires byte-identical tables.
 func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {

@@ -18,7 +18,6 @@ import (
 
 	"robustsample/internal/game"
 	"robustsample/internal/rng"
-	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
 	"robustsample/internal/stats"
 )
@@ -218,24 +217,6 @@ func HeavyHitterSize(eps, delta float64, n int, universeSize int64) int {
 	return ReservoirSize(Params{Eps: eps / 3, Delta: delta, N: n}, math.Log(float64(universeSize)))
 }
 
-// NewRobustBernoulli constructs a Bernoulli sampler parameterized per
-// Theorem 1.2 for the given set system.
-func NewRobustBernoulli(p Params, sys setsystem.SetSystem) *sampler.Bernoulli[int64] {
-	return sampler.NewBernoulli[int64](BernoulliRate(p, sys.LogCardinality()))
-}
-
-// NewRobustReservoir constructs a reservoir sampler parameterized per
-// Theorem 1.2 for the given set system.
-func NewRobustReservoir(p Params, sys setsystem.SetSystem) *sampler.Reservoir[int64] {
-	return sampler.NewReservoir[int64](ReservoirSize(p, sys.LogCardinality()))
-}
-
-// NewContinuousRobustReservoir constructs a reservoir sampler parameterized
-// per Theorem 1.4 for the given set system.
-func NewContinuousRobustReservoir(p Params, sys setsystem.SetSystem) *sampler.Reservoir[int64] {
-	return sampler.NewReservoir[int64](ContinuousReservoirSize(p, sys.LogCardinality()))
-}
-
 // RobustnessEstimate summarizes a Monte-Carlo robustness measurement.
 type RobustnessEstimate struct {
 	// Failure counts games whose final sample was not an
@@ -262,20 +243,13 @@ type SamplerFactory func() game.Sampler
 // it may be invoked concurrently.
 type AdversaryFactory func() game.Adversary
 
-// EstimateRobustness plays `trials` independent adaptive games and measures
-// the empirical failure rate of the eps-approximation verdict, alongside the
-// distribution of exact discrepancies. The root RNG is split per trial, so
-// results are deterministic given the root. Trials are fanned out across
-// runtime.GOMAXPROCS workers; use EstimateRobustnessWorkers to control the
-// pool size.
-func EstimateRobustness(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, trials int, root *rng.RNG) RobustnessEstimate {
-	return EstimateRobustnessWorkers(mkSampler, mkAdv, sys, p, trials, 0, root)
-}
-
-// EstimateRobustnessWorkers is EstimateRobustness over an explicit worker
-// pool: workers <= 0 selects runtime.GOMAXPROCS(0), workers == 1 forces a
-// serial loop. The per-trial RNGs are split sequentially from root before
-// the fan-out, so the estimate is byte-identical for every worker count.
+// EstimateRobustnessWorkers plays `trials` independent adaptive games and
+// measures the empirical failure rate of the eps-approximation verdict,
+// alongside the distribution of exact discrepancies. Trials fan out over a
+// worker pool: workers <= 0 selects runtime.GOMAXPROCS(0), workers == 1
+// forces a serial loop. The per-trial RNGs are split sequentially from root
+// before the fan-out, so the estimate is deterministic given the root and
+// byte-identical for every worker count.
 // The factories are invoked once per worker (each game fully Resets the
 // players, so reuse across a worker's trials changes nothing) from worker
 // goroutines, and must be safe for concurrent calls; plain constructor
@@ -316,11 +290,11 @@ func EstimateRobustnessWorkers(mkSampler SamplerFactory, mkAdv AdversaryFactory,
 }
 
 // EstimateContinuousRobustness is the continuous-game analogue of
-// EstimateRobustness: a trial fails if any checkpoint prefix violates the
-// eps-approximation. The checkpoint schedule is the Theorem 1.4 geometric
-// grid starting at the sampler's first full round. Trials run on a
-// runtime.GOMAXPROCS worker pool; use EstimateContinuousRobustnessWorkers
-// to control the pool size.
+// EstimateRobustnessWorkers: a trial fails if any checkpoint prefix
+// violates the eps-approximation. The checkpoint schedule is the Theorem
+// 1.4 geometric grid starting at the sampler's first full round. Trials
+// run on a runtime.GOMAXPROCS worker pool; use
+// EstimateContinuousRobustnessWorkers to control the pool size.
 func EstimateContinuousRobustness(mkSampler SamplerFactory, mkAdv AdversaryFactory, sys setsystem.SetSystem, p Params, start, trials int, root *rng.RNG) RobustnessEstimate {
 	return EstimateContinuousRobustnessWorkers(mkSampler, mkAdv, sys, p, start, trials, 0, root)
 }

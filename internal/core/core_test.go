@@ -121,23 +121,6 @@ func TestParamsValidate(t *testing.T) {
 	}
 }
 
-func TestNewRobustSamplers(t *testing.T) {
-	p := Params{Eps: 0.2, Delta: 0.1, N: 10000}
-	sys := setsystem.NewPrefixes(1 << 16)
-	b := NewRobustBernoulli(p, sys)
-	if b.P != BernoulliRate(p, sys.LogCardinality()) {
-		t.Fatal("robust Bernoulli rate mismatch")
-	}
-	v := NewRobustReservoir(p, sys)
-	if v.K != ReservoirSize(p, sys.LogCardinality()) {
-		t.Fatal("robust reservoir size mismatch")
-	}
-	c := NewContinuousRobustReservoir(p, sys)
-	if c.K != ContinuousReservoirSize(p, sys.LogCardinality()) {
-		t.Fatal("continuous robust reservoir size mismatch")
-	}
-}
-
 func TestRobustReservoirSurvivesBisection(t *testing.T) {
 	// Theorem 1.2 integration check: at the robust k, the bisection
 	// attack must fail to break the eps-approximation in (almost) all
@@ -147,10 +130,10 @@ func TestRobustReservoirSurvivesBisection(t *testing.T) {
 	sys := setsystem.NewPrefixes(universe)
 	k := ReservoirSize(p, sys.LogCardinality())
 	root := rng.New(1)
-	est := EstimateRobustness(
+	est := EstimateRobustnessWorkers(
 		func() game.Sampler { return sampler.NewReservoir[int64](k) },
 		func() game.Adversary { return adversary.NewBisectionReservoir(universe, p.N, k) },
-		sys, p, 30, root,
+		sys, p, 30, 0, root,
 	)
 	// Allow Monte-Carlo slack above delta.
 	if est.Failure.Rate() > p.Delta+0.15 {
@@ -181,10 +164,10 @@ func TestEstimateRobustnessDeterministic(t *testing.T) {
 	p := Params{Eps: 0.3, Delta: 0.2, N: 500}
 	sys := setsystem.NewPrefixes(1 << 16)
 	mk := func() RobustnessEstimate {
-		return EstimateRobustness(
+		return EstimateRobustnessWorkers(
 			func() game.Sampler { return sampler.NewReservoir[int64](50) },
 			func() game.Adversary { return adversary.NewStaticUniform(1 << 16) },
-			sys, p, 10, rng.New(7),
+			sys, p, 10, 0, rng.New(7),
 		)
 	}
 	a, b := mk(), mk()
@@ -199,10 +182,10 @@ func TestEstimateRobustnessPanics(t *testing.T) {
 			t.Fatal("expected panic for trials=0")
 		}
 	}()
-	EstimateRobustness(
+	EstimateRobustnessWorkers(
 		func() game.Sampler { return sampler.NewReservoir[int64](5) },
 		func() game.Adversary { return adversary.NewStaticUniform(10) },
-		setsystem.NewPrefixes(10), Params{Eps: 0.1, Delta: 0.1, N: 10}, 0, rng.New(1),
+		setsystem.NewPrefixes(10), Params{Eps: 0.1, Delta: 0.1, N: 10}, 0, 0, rng.New(1),
 	)
 }
 

@@ -240,6 +240,7 @@ func BenchmarkReservoirOfferBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		res.Reset()
 		res.OfferBatch(stream, r)
 	}
 }

@@ -340,12 +340,6 @@ func Density(seq []int64, lo, hi int64) float64 {
 	return float64(count) / float64(len(seq))
 }
 
-// IsEpsApproximation reports whether sample is an eps-approximation of
-// stream with respect to the set system, per Definition 1.1.
-func IsEpsApproximation(sys SetSystem, stream, sample []int64, eps float64) bool {
-	return sys.MaxDiscrepancy(stream, sample).Err <= eps
-}
-
 // BruteMaxDiscrepancy computes the interval discrepancy by enumerating every
 // interval [a, b] with endpoints among the values present in either sequence
 // (plus universe boundaries). It is O(V^2 * (n+s)) and exists solely as a

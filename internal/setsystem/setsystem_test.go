@@ -95,6 +95,28 @@ func TestPrefixKnownValue(t *testing.T) {
 	}
 }
 
+func TestPrefixKnownValueInterleavedSample(t *testing.T) {
+	// Stream 1..4; sample = {1, 3}. The gap is 1/4 at prefixes [1,1] and
+	// [1,3] and 0 at [1,2] and [1,4].
+	stream := []int64{1, 2, 3, 4}
+	sample := []int64{1, 3}
+	d := NewPrefixes(4).MaxDiscrepancy(stream, sample)
+	if math.Abs(d.Err-0.25) > 1e-12 {
+		t.Fatalf("prefix error = %v, want 0.25", d.Err)
+	}
+	if d.Hi != 1 && d.Hi != 3 {
+		t.Fatalf("witness prefix [1,%d], want [1,1] or [1,3]", d.Hi)
+	}
+}
+
+func TestSetSystemsReportUniverseSize(t *testing.T) {
+	for _, sys := range []SetSystem{NewPrefixes(10), NewIntervals(10), NewSingletons(10), NewSuffixes(10)} {
+		if sys.UniverseSize() != 10 {
+			t.Fatalf("%s universe size = %d, want 10", sys.Name(), sys.UniverseSize())
+		}
+	}
+}
+
 func TestIntervalCatchesMiddleGap(t *testing.T) {
 	// Sample misses the middle; the interval system must see it even
 	// though the prefix error is smaller.
@@ -331,19 +353,6 @@ func TestDensity(t *testing.T) {
 	}
 	if Density(seq, 5, 9) != 0 {
 		t.Fatal("out-of-range density should be 0")
-	}
-}
-
-func TestIsEpsApproximation(t *testing.T) {
-	stream := []int64{1, 2, 3, 4}
-	sample := []int64{1, 3}
-	sys := NewPrefixes(4)
-	err := sys.MaxDiscrepancy(stream, sample).Err
-	if !IsEpsApproximation(sys, stream, sample, err+0.001) {
-		t.Fatal("should be approximation at its own error")
-	}
-	if IsEpsApproximation(sys, stream, sample, err-0.001) {
-		t.Fatal("should not be approximation below its error")
 	}
 }
 

@@ -42,7 +42,7 @@ func TestServingChaosDeterministicBitIdentical(t *testing.T) {
 
 	// Serial reference.
 	serial := chaosEngine(S, RoundRobin{}, 7)
-	serial.Ingest(stream)
+	serial.OfferBatch(stream)
 	want := observe(serial.Verdict(), serial)
 
 	for _, tc := range []struct {

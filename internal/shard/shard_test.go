@@ -76,7 +76,7 @@ func TestSubstreamsPartitionStream(t *testing.T) {
 		for i := range xs {
 			xs[i] = 1 + gen.Int63n(1<<16)
 		}
-		eng.Ingest(xs[:1500])
+		eng.OfferBatch(xs[:1500])
 		for _, x := range xs[1500:] {
 			eng.Offer(x)
 		}
@@ -125,7 +125,7 @@ func TestShardVerdictMatchesLocalOneShot(t *testing.T) {
 		for j := range xs {
 			xs[j] = 1 + gen.Int63n(1<<16)
 		}
-		eng.Ingest(xs)
+		eng.OfferBatch(xs)
 	}
 	for i := 0; i < eng.NumShards(); i++ {
 		got := eng.ShardVerdict(i)
@@ -143,7 +143,7 @@ func TestGlobalSampleDrawsFromUnion(t *testing.T) {
 	for i := range xs {
 		xs[i] = 1 + gen.Int63n(1<<16)
 	}
-	eng.Ingest(xs)
+	eng.OfferBatch(xs)
 	union := map[int64]int{}
 	for _, v := range eng.SampleView() {
 		union[v]++
@@ -172,7 +172,7 @@ func TestStartGameReproducesRuns(t *testing.T) {
 		for i := range xs {
 			xs[i] = 1 + gen.Int63n(1<<16)
 		}
-		eng.Ingest(xs)
+		eng.OfferBatch(xs)
 		return eng.Sample(), eng.Verdict()
 	}
 	s1, v1 := play()

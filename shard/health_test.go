@@ -217,6 +217,46 @@ func TestServeCloseContext(t *testing.T) {
 	}
 }
 
+// TestServeCloseContextFiresOnEpoch pins the OnEpoch contract on the
+// drain-deadline close: a first close through CloseContext delivers its
+// final-drain epoch to the hook exactly as Close does, so a rotation driver
+// sees every element offered.
+func TestServeCloseContextFiresOnEpoch(t *testing.T) {
+	u := servingUniverse(t)
+	var epochs []shard.Epoch
+	e, err := shard.New(u, shard.WithShards(2), shard.WithReservoir(8), shard.WithWorkers(1),
+		shard.WithPipeline(shard.PipelineConfig{
+			OnEpoch: func(ep shard.Epoch) { epochs = append(epochs, ep) },
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := e.Serve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, _ := srv.Producer(0)
+	stream := servingValues(150)
+	if err := pr.OfferBatch(stream[:100]); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	if err := pr.OfferBatch(stream[100:]); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := srv.CloseContext(context.Background())
+	if err != nil {
+		t.Fatalf("CloseContext: %v", err)
+	}
+	srv.Close() // idempotent: must not fire the hook again
+	if len(epochs) != 2 {
+		t.Fatalf("OnEpoch fired %d times across Flush and CloseContext (%+v), want 2", len(epochs), epochs)
+	}
+	if last := epochs[len(epochs)-1]; last != ep || last.Applied != uint64(len(stream)) {
+		t.Fatalf("last hooked epoch %+v, CloseContext returned %+v, want Applied %d", last, ep, len(stream))
+	}
+}
+
 // TestWithPipelineValidation pins option validation for the new knobs.
 func TestWithPipelineValidation(t *testing.T) {
 	u := servingUniverse(t)

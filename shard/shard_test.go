@@ -63,8 +63,8 @@ func TestValidation(t *testing.T) {
 	if _, _, err := e.OfferRouted(0); !errors.Is(err, sketch.ErrOutOfUniverse) {
 		t.Fatalf("OfferRouted(0) err = %v, want ErrOutOfUniverse", err)
 	}
-	if err := e.Ingest([]int64{1, 2, 2000}); !errors.Is(err, sketch.ErrOutOfUniverse) {
-		t.Fatalf("Ingest err = %v, want ErrOutOfUniverse", err)
+	if _, err := e.OfferBatch([]int64{1, 2, 2000}); !errors.Is(err, sketch.ErrOutOfUniverse) {
+		t.Fatalf("OfferBatch err = %v, want ErrOutOfUniverse", err)
 	}
 	if e.Rounds() != 0 {
 		t.Fatal("failed ingest routed elements")
@@ -74,6 +74,45 @@ func TestValidation(t *testing.T) {
 // TestVerdictMatchesOneShot: the public engine's merged verdict must be
 // bit-identical to a one-shot discrepancy on the union stream and union
 // sample, for every router.
+// TestQuickstartPipeline follows examples/quickstart: size a reservoir
+// per Theorem 1.2, hold it in a one-shard engine, and read the exact prefix
+// verdict, which must be within eps and agree with the one-shot
+// discrepancy of the engine's sample.
+func TestQuickstartPipeline(t *testing.T) {
+	const (
+		n        = 5000
+		universe = int64(1) << 20
+		eps      = 0.2
+	)
+	u := mustU(sketch.NewInt64Universe(universe))
+	sized, err := sketch.NewRobustReservoir(u, eps, 0.1, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := shard.New(u, shard.WithSystem(shard.Prefixes), shard.WithReservoir(sized.K()), shard.WithSeed(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := testStream(n, universe, 42)
+	if _, err := e.OfferBatch(stream); err != nil {
+		t.Fatal(err)
+	}
+	if e.SampleLen() != sized.K() {
+		t.Fatalf("sample size %d, want k=%d", e.SampleLen(), sized.K())
+	}
+	v, err := e.Verdict()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Err > eps {
+		t.Fatalf("robust reservoir error %v exceeds eps %v", v.Err, eps)
+	}
+	want := setsystem.NewPrefixes(universe).MaxDiscrepancy(stream, e.Sample())
+	if v.Err != want.Err {
+		t.Fatalf("verdict %v disagrees with one-shot discrepancy %v", v.Err, want.Err)
+	}
+}
+
 func TestVerdictMatchesOneShot(t *testing.T) {
 	const universe = int64(1 << 12)
 	stream := testStream(5000, universe, 21)
@@ -89,7 +128,7 @@ func TestVerdictMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.Ingest(stream); err != nil {
+			if _, err := e.OfferBatch(stream); err != nil {
 				t.Fatal(err)
 			}
 			got, err := e.Verdict()
@@ -123,14 +162,14 @@ func TestWorkerAndChunkInvariance(t *testing.T) {
 		return e
 	}
 	ref := build(1)
-	if err := ref.Ingest(stream); err != nil {
+	if _, err := ref.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	refVerdict, _ := ref.Verdict()
 
 	parallel := build(4)
 	for i := 0; i < len(stream); i += 113 {
-		if err := parallel.Ingest(stream[i:min(i+113, len(stream))]); err != nil {
+		if _, err := parallel.OfferBatch(stream[i:min(i+113, len(stream))]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +198,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	stream := testStream(3000, universe, 41)
 	e := build(7)
-	if err := e.Ingest(stream[:2000]); err != nil {
+	if _, err := e.OfferBatch(stream[:2000]); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := e.Verdict()
@@ -188,10 +227,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Continuation is bit-identical: same traffic, same verdicts, same
 	// coordinator samples.
-	if err := e.Ingest(stream[2000:]); err != nil {
+	if _, err := e.OfferBatch(stream[2000:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Ingest(stream[2000:]); err != nil {
+	if _, err := f.OfferBatch(stream[2000:]); err != nil {
 		t.Fatal(err)
 	}
 	ve, _ := e.Verdict()
@@ -228,7 +267,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := testStream(1000, 1<<10, 9)
-	if err := e.Ingest(stream); err != nil {
+	if _, err := e.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	v1, _ := e.Verdict()
@@ -237,7 +276,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 	if e.Rounds() != 0 || e.SampleLen() != 0 {
 		t.Fatal("Reset did not clear")
 	}
-	if err := e.Ingest(stream); err != nil {
+	if _, err := e.OfferBatch(stream); err != nil {
 		t.Fatal(err)
 	}
 	v2, _ := e.Verdict()
@@ -256,7 +295,7 @@ func TestStringShardEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	words := []string{"apple", "banana", "apple", "cherry", "apple", "date"}
-	if err := e.Ingest(words); err != nil {
+	if _, err := e.OfferBatch(words); err != nil {
 		t.Fatal(err)
 	}
 	v, err := e.Verdict()

@@ -3,10 +3,14 @@ package sketch_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
-	"robustsample"
+	"robustsample/internal/core"
+	"robustsample/internal/rng"
+	"robustsample/internal/sampler"
+	"robustsample/internal/setsystem"
 	"robustsample/sketch"
 )
 
@@ -18,7 +22,7 @@ func mustU[T any](u sketch.Universe[T], err error) sketch.Universe[T] {
 }
 
 func testStream(n int, universe int64, seed uint64) []int64 {
-	r := robustsample.NewRNG(seed)
+	r := rng.New(seed)
 	out := make([]int64, n)
 	for i := range out {
 		out[i] = 1 + r.Int63n(universe)
@@ -56,6 +60,38 @@ func TestConstructorValidation(t *testing.T) {
 func errOnly[T any](_ T, err error) error  { return err }
 func errOnlyS[T any](_ T, err error) error { return err }
 
+// TestNewRobustSamplers pins the robust constructors to the theorem
+// calculators for the prefix system over the sketch's universe: Theorem
+// 1.2 for the reservoir and Bernoulli rate, Theorem 1.4 for the continuous
+// reservoir.
+func TestNewRobustSamplers(t *testing.T) {
+	const universe = 1 << 16
+	u := mustU(sketch.NewInt64Universe(universe))
+	p := core.Params{Eps: 0.2, Delta: 0.1, N: 10000}
+	logR := math.Log(universe)
+	b, err := sketch.NewRobustBernoulli(u, p.Eps, p.Delta, p.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.P() != core.BernoulliRate(p, logR) {
+		t.Fatal("robust Bernoulli rate mismatch")
+	}
+	v, err := sketch.NewRobustReservoir(u, p.Eps, p.Delta, p.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.K() != core.ReservoirSize(p, logR) {
+		t.Fatal("robust reservoir size mismatch")
+	}
+	c, err := sketch.NewContinuousRobustReservoir(u, p.Eps, p.Delta, p.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.K() != core.ContinuousReservoirSize(p, logR) {
+		t.Fatal("continuous robust reservoir size mismatch")
+	}
+}
+
 func TestOfferOutOfUniverse(t *testing.T) {
 	u := mustU(sketch.NewInt64Universe(100))
 	s, err := sketch.NewReservoir(u, 8)
@@ -83,11 +119,12 @@ func TestOfferOutOfUniverse(t *testing.T) {
 	}
 }
 
-// TestFacadeDifferential proves the deprecated facade and the new Sketch[T]
-// surface are the same machine: same seed, same stream, per-element offers
-// => byte-identical samples AND byte-identical verdict tables (error and
-// witness at every checkpoint).
-func TestFacadeDifferential(t *testing.T) {
+// TestReservoirMatchesInternalSampler proves the Sketch[T] surface and the
+// internal sampler it wraps are the same machine: same seed, same stream,
+// per-element offers => identical admission bits, byte-identical samples
+// AND byte-identical verdict tables (error and witness at every
+// checkpoint).
+func TestReservoirMatchesInternalSampler(t *testing.T) {
 	const (
 		n        = 4000
 		universe = int64(1 << 14)
@@ -96,36 +133,36 @@ func TestFacadeDifferential(t *testing.T) {
 	)
 	stream := testStream(n, universe, 99)
 
-	// Deprecated facade path: external RNG, int64 alias sampler.
-	facade := robustsample.NewReservoir(k)
-	fr := robustsample.NewRNG(seed)
+	// Reference path: the int64 sampler driven by an external RNG.
+	ref := sampler.NewReservoir[int64](k)
+	rr := rng.New(seed)
 
-	// New surface: identity universe, sketch-owned RNG with the same seed.
+	// Public surface: identity universe, sketch-owned RNG with the same seed.
 	u := mustU(sketch.NewInt64Universe(universe))
 	s, err := sketch.NewReservoir(u, k, sketch.WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sys := robustsample.NewPrefixes(universe)
+	sys := setsystem.NewPrefixes(universe)
 	checkpoints := map[int]bool{500: true, 1000: true, 2000: true, n: true}
 	for i, x := range stream {
-		fAdmit := facade.Offer(x, fr)
+		rAdmit := ref.Offer(x, rr)
 		sAdmit, err := s.Offer(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fAdmit != sAdmit {
-			t.Fatalf("round %d: admission bits differ (facade %v, sketch %v)", i+1, fAdmit, sAdmit)
+		if rAdmit != sAdmit {
+			t.Fatalf("round %d: admission bits differ (reference %v, sketch %v)", i+1, rAdmit, sAdmit)
 		}
 		if checkpoints[i+1] {
-			if !slices.Equal(facade.View(), s.EncodedView()) {
+			if !slices.Equal(ref.View(), s.EncodedView()) {
 				t.Fatalf("round %d: samples differ", i+1)
 			}
-			df := sys.MaxDiscrepancy(stream[:i+1], facade.View())
+			dr := sys.MaxDiscrepancy(stream[:i+1], ref.View())
 			ds := sys.MaxDiscrepancy(stream[:i+1], s.EncodedView())
-			if df != ds {
-				t.Fatalf("round %d: verdict tables differ: facade %v, sketch %v", i+1, df, ds)
+			if dr != ds {
+				t.Fatalf("round %d: verdict tables differ: reference %v, sketch %v", i+1, dr, ds)
 			}
 		}
 	}
