@@ -236,7 +236,8 @@ const (
 )
 
 // Tenant lifecycle states. The zero value is deliberately not a valid
-// state: every entry gets its state set explicitly on creation.
+// state: every entry gets its state set explicitly on creation, and every
+// state write goes through farmShard.setState.
 const (
 	stateHot = iota + 1
 	stateCold
@@ -326,8 +327,26 @@ type farmShard struct {
 	offered    uint64
 	hydrations uint64
 	evictions  uint64
-	dropped    int
-	histNs     [histBuckets]uint64 // log2-bucketed hydration stall histogram
+	byState    [stateTombstone + 1]int // entries per lifecycle state (index 0 unused); see setState
+	histNs     [histBuckets]uint64     // log2-bucketed hydration stall histogram
+}
+
+// setState moves an entry to lifecycle state st. It is the only writer of
+// entry.state, so the per-state counts it keeps are exact and Stats and
+// Tenants read them instead of scanning the entries. A new entry starts at
+// the invalid zero state, which is counted nowhere. Callers hold sh.mu.
+func (sh *farmShard) setState(e *entry, st uint8) {
+	if e.state != 0 {
+		sh.byState[e.state]--
+	}
+	sh.byState[st]++
+	e.state = st
+}
+
+// live returns the shard's live (non-dropped) tenant count. Callers hold
+// sh.mu.
+func (sh *farmShard) live() int {
+	return sh.byState[stateHot] + sh.byState[stateCold] + sh.byState[stateSpilled]
 }
 
 // Farm is a multi-tenant sketch farm over element type T. All methods are
@@ -508,7 +527,8 @@ func (sh *farmShard) lookupOrCreate(id TenantID) (int32, error) {
 	hi, lo := rng.NewWithStream(sh.c.seed, uint64(id)).State()
 	words[0], words[1] = hi, lo
 	idx := int32(len(sh.entries))
-	sh.entries = append(sh.entries, entry{id: id, ref: ref, hotPos: -1, state: stateHot})
+	sh.entries = append(sh.entries, entry{id: id, ref: ref, hotPos: -1})
+	sh.setState(&sh.entries[idx], stateHot)
 	sh.index[id] = idx
 	sh.hotPush(idx)
 	return idx, nil
@@ -680,12 +700,12 @@ func (sh *farmShard) store(e *entry, payload []byte) error {
 		if err == nil {
 			e.spillOff, e.spillLen = off, n
 			e.cold = nil
-			e.state = stateSpilled
+			sh.setState(e, stateSpilled)
 			return nil
 		}
 	}
 	e.cold = payload
-	e.state = stateCold
+	sh.setState(e, stateCold)
 	return nil
 }
 
@@ -730,7 +750,7 @@ func (sh *farmShard) hydrate(idx int32) error {
 	e.ref = ref
 	e.cold = nil
 	e.spillLen = 0
-	e.state = stateHot
+	sh.setState(e, stateHot)
 	sh.hotPush(idx)
 	sh.hydrations++
 	sh.histNs[histBucket(time.Since(start).Nanoseconds())]++
@@ -831,8 +851,7 @@ func (f *Farm[T]) Drop(id TenantID) error {
 	}
 	e.cold = nil
 	e.spillLen = 0
-	e.state = stateTombstone
-	sh.dropped++
+	sh.setState(e, stateTombstone)
 	return nil
 }
 
@@ -841,7 +860,7 @@ func (f *Farm[T]) Tenants() int {
 	n := 0
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		n += len(sh.entries) - sh.dropped
+		n += sh.live()
 		sh.mu.Unlock()
 	}
 	return n
@@ -894,17 +913,11 @@ func (f *Farm[T]) Stats() Stats {
 	var hist [histBuckets]uint64
 	for _, sh := range f.shards {
 		sh.mu.Lock()
-		s.Tenants += len(sh.entries) - sh.dropped
-		s.Hot += len(sh.hot)
-		for i := range sh.entries {
-			switch sh.entries[i].state {
-			case stateCold:
-				s.Cold++
-			case stateSpilled:
-				s.Spilled++
-			}
-		}
-		s.Dropped += sh.dropped
+		s.Tenants += sh.live()
+		s.Hot += sh.byState[stateHot]
+		s.Cold += sh.byState[stateCold]
+		s.Spilled += sh.byState[stateSpilled]
+		s.Dropped += sh.byState[stateTombstone]
 		s.SlabBytes += sh.arena.Stats().Bytes
 		if sh.spill != nil {
 			s.SpillBytes += sh.spill.size

@@ -123,25 +123,21 @@ func (sh *farmShard) installCold(id TenantID, payload []byte) {
 	idx, ok := sh.index[id]
 	if !ok {
 		idx = int32(len(sh.entries))
-		sh.entries = append(sh.entries, entry{id: id, hotPos: -1, state: stateCold})
+		sh.entries = append(sh.entries, entry{id: id, hotPos: -1})
 		sh.index[id] = idx
-	} else {
-		e := &sh.entries[idx]
-		switch e.state {
-		case stateHot:
-			sh.hotRemove(idx)
-			sh.arena.Free(e.ref)
-		case stateSpilled:
-			sh.spill.retire(e.spillLen)
-		case stateTombstone:
-			sh.dropped--
-		}
 	}
 	e := &sh.entries[idx]
+	switch e.state {
+	case stateHot:
+		sh.hotRemove(idx)
+		sh.arena.Free(e.ref)
+	case stateSpilled:
+		sh.spill.retire(e.spillLen)
+	}
 	e.ref = slab.NilRef
 	e.spillLen = 0
 	e.cold = append([]byte(nil), payload...)
-	e.state = stateCold
+	sh.setState(e, stateCold)
 	e.refBit = false
 }
 
@@ -151,10 +147,8 @@ func (sh *farmShard) installTombstone(id TenantID) {
 	idx, ok := sh.index[id]
 	if !ok {
 		idx = int32(len(sh.entries))
-		sh.entries = append(sh.entries, entry{id: id, hotPos: -1, state: stateTombstone})
+		sh.entries = append(sh.entries, entry{id: id, hotPos: -1})
 		sh.index[id] = idx
-		sh.dropped++
-		return
 	}
 	e := &sh.entries[idx]
 	switch e.state {
@@ -169,8 +163,7 @@ func (sh *farmShard) installTombstone(id TenantID) {
 	e.ref = slab.NilRef
 	e.cold = nil
 	e.spillLen = 0
-	e.state = stateTombstone
-	sh.dropped++
+	sh.setState(e, stateTombstone)
 }
 
 // SnapshotTenant serializes one tenant's complete state — sample, counters
@@ -401,7 +394,7 @@ func (f *Farm[T]) Restore(data []byte) error {
 		sh.index = make(map[TenantID]int32)
 		sh.hot = sh.hot[:0]
 		sh.hand = 0
-		sh.dropped = 0
+		clear(sh.byState[:])
 		if sh.acc != nil {
 			sh.acc.Reset()
 		}

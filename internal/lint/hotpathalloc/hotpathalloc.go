@@ -1,5 +1,5 @@
 // Package hotpathalloc guards the 0 allocs/op pins of BENCH.md: functions
-// annotated //robust:hotpath (the OfferBatch family, Ring.Push/PushBatch,
+// annotated //robust:hotpath (the OfferBatch family, Ring.PushBatch,
 // the router batch lanes, the accumulator's AddStreamBatch) are checked for
 // constructs that defeat the zero-allocation steady state, and the set of
 // annotations is cross-checked against a committed golden list so a new hot

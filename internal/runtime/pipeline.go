@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	stdruntime "runtime"
@@ -12,7 +13,12 @@ import (
 // ErrClosed reports an Offer against a closed producer lane or pipeline.
 var ErrClosed = errors.New("runtime: pipeline is closed")
 
-// Config describes a pipeline. Exactly one of RouteLive / RouteSerial is
+// ErrBackpressure reports an Offer that gave up waiting for ring space
+// because its context expired; it is always joined with the context's own
+// error, so errors.Is matches both.
+var ErrBackpressure = errors.New("runtime: offer gave up under backpressure")
+
+// Config describes a pipeline. Exactly one of Route / RouteSerial is
 // consulted, selected by Deterministic.
 type Config struct {
 	// Shards is the number of consumer lanes (one goroutine + ring each).
@@ -37,18 +43,15 @@ type Config struct {
 	// elements p, p+P, p+2P, ...) therefore reproduces serial ingest of
 	// the original stream exactly.
 	Deterministic bool
-	// RouteLive routes one element in live mode. It is called concurrently
-	// from producer goroutines and must be safe for that; the producer
-	// index identifies the calling lane so implementations can keep
-	// per-lane state (e.g. a private RNG) without synchronization.
-	RouteLive func(producer int, x int64) int
-	// RouteLiveBatch, when non-nil, routes a whole batch in live mode:
-	// it must fill dst[i] with the destination shard of xs[i], exactly as
-	// len(xs) RouteLive calls on the same lane would (len(dst) == len(xs)).
-	// Batch offers then bucket elements per shard and enqueue each bucket
-	// with one ring claim instead of one per element. Same concurrency
-	// contract as RouteLive.
-	RouteLiveBatch func(producer int, xs []int64, dst []int)
+	// Route routes a run of elements in live mode: it must fill dst[i] with
+	// the destination shard of xs[i] (len(dst) == len(xs)). A single Offer
+	// is routed as a run of length 1, so routing state must evolve per
+	// element, not per call: any chunking of a lane's stream yields the
+	// same destinations. It is called concurrently from producer
+	// goroutines and must be safe for that; the producer index identifies
+	// the calling lane so implementations can keep per-lane state (e.g. a
+	// private RNG) without synchronization.
+	Route func(producer int, xs []int64, dst []int)
 	// RouteSerial routes one element in deterministic mode. It is called
 	// from the router goroutine only, in global sequence order.
 	RouteSerial func(x int64) int
@@ -105,7 +108,10 @@ type Pipeline struct {
 }
 
 // Producer is one ingest lane. A lane must be driven by at most one
-// goroutine at a time; distinct lanes are fully independent.
+// goroutine at a time; distinct lanes are fully independent. Its four offer
+// methods are one code path: Offer is a run of length 1, the plain offers
+// wait without a deadline (context.Background), and every run goes through
+// offer and the pipeline's one ring-wait loop, pushAllCtx.
 type Producer struct {
 	p        *Pipeline
 	idx      int
@@ -113,10 +119,11 @@ type Producer struct {
 	closed   atomic.Bool
 	inFlight atomic.Int64 // offers past the closed check but not yet pushed
 
-	// Batch-routing scratch, owned by the lane's driving goroutine.
-	dst     []int     // per-element destinations from RouteLiveBatch
+	// Offer scratch, owned by the lane's driving goroutine.
+	one     [1]int64  // Offer's one-element batch
+	dst     []int     // per-element destinations from Route
 	buckets [][]int64 // per-shard element runs for PushBatch
-	boff    uint64    // xorshift state for the ctx offers' backoff jitter
+	jit     uint64    // xorshift state for pushAllCtx's backoff jitter
 }
 
 // Start validates cfg and launches the pipeline's goroutines: one consumer
@@ -134,8 +141,8 @@ func Start(cfg Config) (*Pipeline, error) {
 	if cfg.Deterministic && cfg.RouteSerial == nil {
 		return nil, errors.New("runtime: deterministic mode needs RouteSerial")
 	}
-	if !cfg.Deterministic && cfg.RouteLive == nil {
-		return nil, errors.New("runtime: live mode needs RouteLive")
+	if !cfg.Deterministic && cfg.Route == nil {
+		return nil, errors.New("runtime: live mode needs Route")
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1024
@@ -158,7 +165,7 @@ func Start(cfg Config) (*Pipeline, error) {
 	}
 	p.producers = make([]*Producer, cfg.Producers)
 	for i := range p.producers {
-		pr := &Producer{p: p, idx: i}
+		pr := &Producer{p: p, idx: i, jit: jitterSeed(i)}
 		if cfg.Deterministic {
 			pr.ring = NewRing(cfg.RingSize)
 		}
@@ -187,7 +194,8 @@ func (p *Pipeline) NumShards() int { return p.cfg.Shards }
 // NumProducers returns the producer lane count.
 func (p *Pipeline) NumProducers() int { return p.cfg.Producers }
 
-// idleWait backs off while a lane is empty or full: cooperative yields
+// idleWait backs off while a consumer, the router or a barrier waits for
+// work (ring fills and lock hand-offs, never ring space): cooperative yields
 // first (cheap, and on a loaded scheduler they hand the CPU straight to the
 // peer), then short sleeps so idle pipelines don't burn a core.
 func idleWait(spin *int) {
@@ -199,32 +207,110 @@ func idleWait(spin *int) {
 	time.Sleep(20 * time.Microsecond)
 }
 
-// push enqueues with backpressure: it spins/sleeps while the ring is full.
-func push(r *Ring, x int64) {
-	spin := 0
-	for !r.Push(x) {
-		idleWait(&spin)
-	}
+// Backoff bounds for pushAllCtx: sleeps start at backoffMin after the spin
+// phase and double (with jitter) up to backoffMax, so a briefly full ring
+// costs microseconds while a wedged one doesn't spin a core.
+const (
+	backoffMin = 4 * time.Microsecond
+	backoffMax = time.Millisecond
+)
+
+// jitterSeed is the initial backoff-jitter state of waiter w (producer lane
+// w; the router is waiter Producers). Distinct seeds desynchronize waiters.
+func jitterSeed(w int) uint64 { return uint64(w)*0x9E3779B97F4A7C15 + 0x1F123BB5 }
+
+// sleepJittered sleeps a uniformly jittered duration in [d/2, d), stepping
+// the caller-owned xorshift state jit — the desynchronization that keeps P
+// stalled lanes from retrying in lockstep against the same full ring.
+func sleepJittered(jit *uint64, d time.Duration) {
+	s := *jit
+	s ^= s << 13
+	s ^= s >> 7
+	s ^= s << 17
+	*jit = s
+	half := uint64(d / 2)
+	time.Sleep(time.Duration(half + s%(half+1)))
 }
 
-// pushAll enqueues a whole run with backpressure, claiming as many slots
-// per ring operation as are free.
-func pushAll(r *Ring, xs []int64) {
+// pushAllCtx is the pipeline's one ring-wait loop: it enqueues a run with
+// backpressure, claiming as many slots per ring operation as are free, and
+// returns how many elements landed. A full ring is waited out with a short
+// cooperative-yield spin, then jittered exponential backoff (progress
+// resets it; only a full stall walks it up to backoffMax), giving up when
+// ctx is done. jit is the caller-owned jitter state.
+func pushAllCtx(ctx context.Context, r *Ring, xs []int64, jit *uint64) (int, error) {
+	done := ctx.Done()
+	backoff := backoffMin
 	spin := 0
-	for len(xs) > 0 {
-		n := r.PushBatch(xs)
-		if n == 0 {
-			idleWait(&spin)
+	pushed := 0
+	for pushed < len(xs) {
+		if n := r.PushBatch(xs[pushed:]); n > 0 {
+			pushed += n
+			spin = 0
+			backoff = backoffMin
 			continue
 		}
-		spin = 0
-		xs = xs[n:]
+		if spin < 64 {
+			spin++
+			stdruntime.Gosched()
+			continue
+		}
+		select {
+		case <-done:
+			return pushed, errors.Join(ErrBackpressure, ctx.Err())
+		default:
+		}
+		sleepJittered(jit, backoff)
+		if backoff < backoffMax {
+			backoff *= 2
+		}
 	}
+	return pushed, nil
 }
 
-// Offer submits one element to the lane, blocking (spin-then-sleep) when
-// the pipeline applies backpressure. It reports ErrClosed after the lane or
-// pipeline has been closed; elements accepted before that are never lost.
+// Offer submits one element to the lane, blocking when the pipeline applies
+// backpressure. It reports ErrClosed after the lane or pipeline has been
+// closed; elements accepted before that are never lost.
+func (pr *Producer) Offer(x int64) error {
+	return pr.OfferCtx(context.Background(), x)
+}
+
+// OfferBatch submits a run of consecutive elements (equivalent to offering
+// them one by one on this lane), blocking under backpressure.
+//
+//robust:hotpath
+func (pr *Producer) OfferBatch(xs []int64) error {
+	_, err := pr.offer(context.Background(), xs)
+	return err
+}
+
+// OfferCtx is Offer with bounded waiting: under backpressure it gives up
+// once ctx is done, returning an error matching both ErrBackpressure and
+// the ctx error. A rejected element was not accepted and is not counted.
+func (pr *Producer) OfferCtx(ctx context.Context, x int64) error {
+	pr.one[0] = x
+	_, err := pr.offer(ctx, pr.one[:])
+	return err
+}
+
+// OfferBatchCtx is OfferBatch with bounded waiting. It returns how many of
+// the batch's elements were accepted: on ErrBackpressure the prefix count
+// for lane-ordered paths, or the per-shard total for the live bucketed path
+// (which elements landed is then routing-dependent — accepted elements are
+// applied normally either way, so round counters stay conserved).
+func (pr *Producer) OfferBatchCtx(ctx context.Context, xs []int64) (int, error) {
+	return pr.offer(ctx, xs)
+}
+
+// offer is the body of every offer method: it submits xs on the lane,
+// waiting out backpressure in pushAllCtx until ctx is done, and returns how
+// many elements were accepted.
+//
+// In deterministic mode the run lands in the lane ring, merged by the
+// router. In live mode it is routed in one Route call, bucketed per shard,
+// and each bucket enqueued with PushBatch; elements bound for the same
+// shard keep their relative order (the bucketing is stable), which is all
+// the ordering live mode ever promises.
 //
 // The in-flight counter is incremented BEFORE the closed check and
 // decremented after the push lands: Close stores its closing flag first and
@@ -232,51 +318,20 @@ func pushAll(r *Ring, xs []int64) {
 // consistent atomics every offer either observes the flag (and pushes
 // nothing) or is observed by Close (which then waits for its push) — an
 // accepted element can never slip past the shutdown drain.
-func (pr *Producer) Offer(x int64) error {
-	pr.inFlight.Add(1)
-	defer pr.inFlight.Add(-1)
-	if pr.closed.Load() || pr.p.closing.Load() {
-		return ErrClosed
-	}
-	if pr.ring != nil { // deterministic: into the lane ring, merged by the router
-		push(pr.ring, x)
-		return nil
-	}
-	push(pr.p.shardRing[pr.p.cfg.RouteLive(pr.idx, x)], x)
-	return nil
-}
-
-// OfferBatch submits a run of consecutive elements (equivalent to offering
-// them one by one on this lane). It shares Offer's shutdown protocol.
-//
-// This is the ingest hot path: in deterministic mode the run lands in the
-// lane ring with one slot claim per free stretch; in live mode, when the
-// router provides RouteLiveBatch, the run is routed in one call, bucketed
-// per shard, and each bucket enqueued with PushBatch. Elements bound for
-// the same shard keep their relative order (the bucketing is stable), which
-// is all the ordering live mode ever promises.
 //
 //robust:hotpath
-func (pr *Producer) OfferBatch(xs []int64) error {
+func (pr *Producer) offer(ctx context.Context, xs []int64) (int, error) {
 	pr.inFlight.Add(1)
 	defer pr.inFlight.Add(-1) //robust:alloc open-coded defer (no closure, single site); required for crash-safe in-flight accounting on every exit path
 	if pr.closed.Load() || pr.p.closing.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if pr.ring != nil {
-		pushAll(pr.ring, xs)
-		return nil
+		return pushAllCtx(ctx, pr.ring, xs, &pr.jit)
 	}
 	p := pr.p
-	if p.cfg.RouteLiveBatch == nil {
-		for _, x := range xs {
-			push(p.shardRing[p.cfg.RouteLive(pr.idx, x)], x)
-		}
-		return nil
-	}
 	if p.cfg.Shards == 1 {
-		pushAll(p.shardRing[0], xs)
-		return nil
+		return pushAllCtx(ctx, p.shardRing[0], xs, &pr.jit)
 	}
 	if cap(pr.dst) < len(xs) {
 		pr.dst = make([]int, len(xs))
@@ -285,7 +340,7 @@ func (pr *Producer) OfferBatch(xs []int64) error {
 		pr.buckets = make([][]int64, p.cfg.Shards)
 	}
 	dst := pr.dst[:len(xs)]
-	p.cfg.RouteLiveBatch(pr.idx, xs, dst)
+	p.cfg.Route(pr.idx, xs, dst)
 	buckets := pr.buckets
 	for s := range buckets {
 		buckets[s] = buckets[s][:0]
@@ -294,12 +349,18 @@ func (pr *Producer) OfferBatch(xs []int64) error {
 		s := dst[i]
 		buckets[s] = append(buckets[s], x)
 	}
+	accepted := 0
 	for s, b := range buckets {
-		if len(b) > 0 {
-			pushAll(p.shardRing[s], b)
+		if len(b) == 0 {
+			continue
+		}
+		n, err := pushAllCtx(ctx, p.shardRing[s], b, &pr.jit)
+		accepted += n
+		if err != nil {
+			return accepted, err
 		}
 	}
-	return nil
+	return accepted, nil
 }
 
 // Close marks the lane done. In deterministic mode this removes it from the
@@ -316,6 +377,7 @@ func (p *Pipeline) routerLoop() {
 	done := make([]bool, P)
 	alive := P
 	lane := 0
+	jit := jitterSeed(P)
 	for alive > 0 {
 		if done[lane] {
 			lane = (lane + 1) % P
@@ -325,8 +387,7 @@ func (p *Pipeline) routerLoop() {
 		spin := 0
 		for {
 			if x, ok := pr.ring.Pop(); ok {
-				push(p.shardRing[p.cfg.RouteSerial(x)], x)
-				p.routed[lane].Add(1)
+				p.forward(lane, x, &jit)
 				break
 			}
 			if pr.closed.Load() && pr.ring.Empty() {
@@ -338,6 +399,16 @@ func (p *Pipeline) routerLoop() {
 		}
 		lane = (lane + 1) % P
 	}
+}
+
+// forward is the router's step for one element popped from lane: route it
+// serially and enqueue it on its shard ring, waiting out backpressure with
+// the caller's jitter state.
+func (p *Pipeline) forward(lane int, x int64, jit *uint64) {
+	one := [1]int64{x}
+	// Cannot fail: the background context is never done.
+	_, _ = pushAllCtx(context.Background(), p.shardRing[p.cfg.RouteSerial(x)], one[:], jit)
+	p.routed[lane].Add(1)
 }
 
 // drain pops one bounded chunk from shard s's ring and applies it, all
@@ -567,14 +638,14 @@ func (p *Pipeline) shutdown() {
 	// are gone, so this goroutine is now the sole consumer of every
 	// ring.
 	if p.cfg.Deterministic {
+		jit := jitterSeed(p.cfg.Producers)
 		for i, pr := range p.producers {
 			for {
 				x, ok := pr.ring.Pop()
 				if !ok {
 					break
 				}
-				push(p.shardRing[p.cfg.RouteSerial(x)], x)
-				p.routed[i].Add(1)
+				p.forward(i, x, &jit)
 			}
 		}
 	}

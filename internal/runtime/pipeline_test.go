@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,15 @@ func collectingApply(shards int) (func(int, []int64), func() [][]int64) {
 		}, func() [][]int64 {
 			return got
 		}
+}
+
+// routeEach lifts a per-element routing function to a live Route.
+func routeEach(f func(x int64) int) func(int, []int64, []int) {
+	return func(_ int, xs []int64, dst []int) {
+		for i, x := range xs {
+			dst[i] = f(x)
+		}
+	}
 }
 
 func TestPipelineDeterministicRoundRobinMerge(t *testing.T) {
@@ -95,7 +105,7 @@ func TestPipelineLiveConservation(t *testing.T) {
 		Shards:    S,
 		Producers: P,
 		RingSize:  128,
-		RouteLive: func(_ int, x int64) int { return int(uint64(x) % S) },
+		Route:     routeEach(func(x int64) int { return int(uint64(x) % S) }),
 		Apply:     apply,
 	})
 	if err != nil {
@@ -159,7 +169,7 @@ func TestPipelineFlushBarrierDuringIngest(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    2,
 		Producers: 1,
-		RouteLive: func(_ int, x int64) int { return int(x) & 1 },
+		Route:     routeEach(func(x int64) int { return int(x) & 1 }),
 		Apply:     func(_ int, xs []int64) { applied.Add(int64(len(xs))) },
 	})
 	if err != nil {
@@ -191,7 +201,7 @@ func TestPipelineWithShardExcludesApply(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(_ int, _ int64) int { return 0 },
+		Route:     routeEach(func(int64) int { return 0 }),
 		Apply: func(_ int, xs []int64) {
 			inApply.Store(true)
 			for range xs {
@@ -239,7 +249,7 @@ func TestPipelineCloseDrainsAndRejects(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    1,
 		Producers: 1,
-		RouteLive: func(_ int, _ int64) int { return 0 },
+		Route:     routeEach(func(int64) int { return 0 }),
 		Apply:     apply,
 	})
 	if err != nil {
@@ -275,7 +285,7 @@ func TestPipelineFreezeConsistentCut(t *testing.T) {
 	p, err := Start(Config{
 		Shards:    S,
 		Producers: 2,
-		RouteLive: func(_ int, x int64) int { return int(uint64(x) % S) },
+		Route:     routeEach(func(x int64) int { return int(uint64(x) % S) }),
 		Apply:     func(s int, xs []int64) { counts[s].Add(int64(len(xs))) },
 	})
 	if err != nil {
@@ -321,17 +331,52 @@ func TestPipelineFreezeConsistentCut(t *testing.T) {
 
 func TestPipelineConfigValidation(t *testing.T) {
 	apply := func(int, []int64) {}
-	live := func(int, int64) int { return 0 }
+	live := routeEach(func(int64) int { return 0 })
 	for name, cfg := range map[string]Config{ //robust:nondet subtest table; each case is independent of order
 
-		"no shards":     {Shards: 0, Producers: 1, RouteLive: live, Apply: apply},
-		"no producers":  {Shards: 1, Producers: 0, RouteLive: live, Apply: apply},
-		"no apply":      {Shards: 1, Producers: 1, RouteLive: live},
+		"no shards":     {Shards: 0, Producers: 1, Route: live, Apply: apply},
+		"no producers":  {Shards: 1, Producers: 0, Route: live, Apply: apply},
+		"no apply":      {Shards: 1, Producers: 1, Route: live},
 		"no live route": {Shards: 1, Producers: 1, Apply: apply},
 		"no det route":  {Shards: 1, Producers: 1, Deterministic: true, Apply: apply},
 	} {
 		if _, err := Start(cfg); err == nil {
 			t.Errorf("%s: Start accepted invalid config", name)
 		}
+	}
+}
+
+// TestOfferZeroAlloc: every offer variant shares one body, and in steady
+// state none of them allocates — Offer routes through the lane's
+// one-element scratch, the batch offers through the lane's reused
+// destination and bucket buffers.
+func TestOfferZeroAlloc(t *testing.T) {
+	const S = 3
+	p, err := Start(Config{
+		Shards:    S,
+		Producers: 1,
+		RingSize:  1 << 12,
+		Route:     routeEach(func(x int64) int { return int(uint64(x) % S) }),
+		Apply:     func(int, []int64) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	pr := p.Producer(0)
+	ctx := context.Background()
+	batch := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	for name, offer := range map[string]func(){ //robust:nondet subtest table; each case is independent of order
+		"Offer":         func() { _ = pr.Offer(9) },
+		"OfferCtx":      func() { _ = pr.OfferCtx(ctx, 9) },
+		"OfferBatch":    func() { _ = pr.OfferBatch(batch) },
+		"OfferBatchCtx": func() { _, _ = pr.OfferBatchCtx(ctx, batch) },
+	} {
+		offer() // warm the lane's scratch
+		p.Flush()
+		if avg := testing.AllocsPerRun(100, offer); avg != 0 {
+			t.Errorf("%s: %.1f allocs per call, want 0", name, avg)
+		}
+		p.Flush()
 	}
 }

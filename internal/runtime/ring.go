@@ -16,7 +16,8 @@
 //     while holding the shard's lock.
 //
 // Backpressure is the rings' bounded capacity: a full ring makes the
-// producer (or router) spin-then-sleep until the consumer catches up, so
+// producer (or router) spin, then back off with jitter, until the consumer
+// catches up (or, for the context-bounded offers, the context is done), so
 // memory use is fixed no matter how far producers outrun ingest.
 //
 // Reads never stall the offer hot path: queries lock individual shards (or,
@@ -28,7 +29,7 @@ import "sync/atomic"
 
 // Ring is a bounded lock-free multi-producer single-consumer queue of
 // stream elements (Vyukov's bounded-queue cell/sequence scheme restricted
-// to one consumer). Any number of goroutines may Push or PushBatch
+// to one consumer). Any number of goroutines may PushBatch
 // concurrently; Pop and PopInto must be serialized by the caller (at most
 // one goroutine popping at a time — the pipeline enforces this with the
 // shard lock, which is what lets idle consumers steal from foreign rings).
@@ -63,34 +64,6 @@ func NewRing(capacity int) *Ring {
 
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.cells) }
-
-// Push enqueues x, reporting false when the ring is full. Safe for
-// concurrent use by any number of producers.
-//
-//robust:hotpath
-func (r *Ring) Push(x int64) bool {
-	pos := r.enq.Load()
-	for {
-		c := &r.cells[pos&r.mask]
-		seq := c.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enq.CompareAndSwap(pos, pos+1) {
-				c.val = x
-				c.seq.Store(pos + 1)
-				return true
-			}
-			pos = r.enq.Load()
-		case seq < pos:
-			// The cell still holds an element the consumer has not taken:
-			// the ring is full.
-			return false
-		default:
-			// Another producer claimed this position; reload.
-			pos = r.enq.Load()
-		}
-	}
-}
 
 // PushBatch enqueues a prefix of xs with one claim for the whole run: it
 // reserves min(len(xs), free) consecutive slots via a single
@@ -182,6 +155,6 @@ func (r *Ring) Backlog() uint64 {
 }
 
 // Pushed returns the number of pushes ever started on the ring. An element
-// whose Push has returned is always counted; the FIFO drain barrier in
+// whose PushBatch has returned is always counted; the FIFO drain barrier in
 // Pipeline.Flush is built on this.
 func (r *Ring) Pushed() uint64 { return r.enq.Load() }

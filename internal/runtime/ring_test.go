@@ -12,12 +12,12 @@ func TestRingSerialFIFO(t *testing.T) {
 		t.Fatalf("Cap = %d, want 8", r.Cap())
 	}
 	for i := int64(0); i < 8; i++ {
-		if !r.Push(i) {
-			t.Fatalf("Push(%d) reported full", i)
+		if r.PushBatch([]int64{i}) != 1 {
+			t.Fatalf("PushBatch([%d]) reported full", i)
 		}
 	}
-	if r.Push(99) {
-		t.Fatal("Push succeeded on a full ring")
+	if r.PushBatch([]int64{99}) != 0 {
+		t.Fatal("PushBatch succeeded on a full ring")
 	}
 	for i := int64(0); i < 8; i++ {
 		v, ok := r.Pop()
@@ -54,7 +54,7 @@ func TestRingMPSC(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				v := int64(p*perProducer + i)
-				for !r.Push(v) {
+				for r.PushBatch([]int64{v}) != 1 {
 					runtime.Gosched()
 				}
 			}
@@ -123,7 +123,7 @@ func TestRingPerProducerFIFO(t *testing.T) {
 			for i := 0; i < perProducer; i++ {
 				// value = producer*2^32 + sequence
 				v := int64(p)<<32 | int64(i)
-				for !r.Push(v) {
+				for r.PushBatch([]int64{v}) != 1 {
 					runtime.Gosched()
 				}
 			}

@@ -113,8 +113,8 @@ type Coverage struct {
 	// Covered is the sum of the included shards' applied substream
 	// lengths — the rounds the answer actually reflects.
 	Covered int
-	// Routed is the session's accepted round count at query time
-	// (everything offered, applied or not).
+	// Routed is the session's accepted round count when the query
+	// finished (everything offered, applied or not).
 	Routed int
 }
 
@@ -315,7 +315,7 @@ func (s *Serving) Health() Health {
 // calling fn for the shards whose lock was acquired, and returns the
 // coverage report. The wait bound is the session's QueryWait.
 func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
-	cov := Coverage{Shards: len(s.e.shards), Routed: s.Rounds()}
+	cov := Coverage{Shards: len(s.e.shards)}
 	for i, sh := range s.e.shards {
 		ok := s.pl.TryWithShard(i, s.queryWait, func() {
 			fn(i, sh)
@@ -327,6 +327,9 @@ func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
 			cov.Stalled = append(cov.Stalled, i)
 		}
 	}
+	// Read after the shards: every round a shard reflected was accepted
+	// before that read, so Covered <= Routed even while ingest runs.
+	cov.Routed = s.Rounds()
 	return cov
 }
 

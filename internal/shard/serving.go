@@ -42,9 +42,11 @@ import (
 )
 
 // ErrServeUnsupported reports an engine configuration Serve cannot run
-// concurrently (stream recording needs a global element order, which a
+// concurrently: stream recording (it needs a global element order, which a
 // concurrent ingest has only in deterministic mode — and there the recorded
-// order would duplicate what the producers already hold).
+// order would duplicate what the producers already hold), an unseeded
+// engine, or a Router other than Uniform, HashByValue and RoundRobin (the
+// routers with a lock-free batch lane).
 var ErrServeUnsupported = errors.New("shard: engine configuration does not support serving")
 
 // ServeConfig sizes the ingest pipeline.
@@ -93,12 +95,11 @@ type Serving struct {
 	qmu     sync.Mutex             // serializes queries (shared scratch accumulators)
 	scratch *setsystem.Accumulator // ShardVerdict copy target
 
-	routeMu     sync.Mutex // serializes routing state against Freeze (deterministic / fallback routers)
+	routeMu     sync.Mutex // serializes deterministic routing state against Freeze
 	startRounds int
 	startShard  []int         // per-shard rounds at Serve time (Health resolution without supervision)
 	queryWait   time.Duration // degraded reads' per-shard lock wait bound
 	liveRound   atomic.Int64  // live RoundRobin ticket
-	fallback    int           // fallback router round counter, under routeMu
 }
 
 // Serve starts a concurrent ingest pipeline over the engine. The engine
@@ -112,6 +113,11 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 	}
 	if e.routerRNG == nil {
 		return nil, fmt.Errorf("%w: engine is not seeded (StartGame first)", ErrServeUnsupported)
+	}
+	switch e.router.(type) {
+	case Uniform, HashByValue, RoundRobin:
+	default:
+		return nil, fmt.Errorf("%w: router %q has no concurrent routing lane", ErrServeUnsupported, e.router.Name())
 	}
 	if cfg.Producers <= 0 {
 		cfg.Producers = 1
@@ -168,7 +174,7 @@ func (e *Engine) Serve(cfg ServeConfig) (*Serving, error) {
 			return si
 		}
 	} else {
-		rcfg.RouteLive, rcfg.RouteLiveBatch = e.liveRouter(s, cfg.Producers)
+		rcfg.Route = e.liveRouter(s, cfg.Producers)
 	}
 	pl, err := runtime.Start(rcfg)
 	if err != nil {
@@ -189,29 +195,27 @@ type uniformLane struct {
 	ubuf [routeBulk]uint64
 }
 
-// liveRouter builds the producer-side routing functions for live mode —
-// the per-element one and the batch one, sharing routing state so a lane
-// may mix Offer and OfferBatch freely. The three in-repo routers route
-// without shared mutable state (per-lane RNG streams split from the
-// engine's routing stream for Uniform, a pure hash, an atomic ticket for
-// RoundRobin); unknown Router implementations fall back to a lock around
-// the serial routing path, taken once per batch on the batch side.
+// liveRouter builds the producer-side batch routing function for live
+// mode; Serve admits only the three in-repo routers. They route without
+// shared mutable state (per-lane RNG streams split from the engine's
+// routing stream for Uniform, a pure hash, an atomic ticket for
+// RoundRobin), and each routes a run exactly as per-element Router.Route
+// calls would, so a lane may mix Offer (a run of 1) and OfferBatch freely.
 //
-// The batch variants are where the per-element routing overhead goes away:
-// HashByValue hashes in unrolled groups of 8 with one bounds check per
-// group, RoundRobin claims a whole run of tickets with one atomic add, and
-// Uniform draws its uniforms in bulk (FillUniform64 with the same
-// exact-drain discipline as the samplers, so batch and scalar routing
-// consume the lane's stream identically).
-func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, func(int, []int64, []int)) {
+// The per-element routing overhead goes away in the batch: HashByValue
+// hashes in unrolled groups of 8 with one bounds check per group,
+// RoundRobin claims a whole run of tickets with one atomic add, and Uniform
+// draws its uniforms in bulk (FillUniform64 with the same exact-drain
+// discipline as the samplers, so any chunking consumes the lane's stream
+// draw-for-draw like per-element Intn).
+func (e *Engine) liveRouter(s *Serving, producers int) func(int, []int64, []int) {
 	S := len(e.shards)
-	switch r := e.router.(type) {
+	switch e.router.(type) {
 	case Uniform:
 		lanes := make([]*uniformLane, producers)
 		for i := range lanes {
 			lanes[i] = &uniformLane{r: e.routerRNG.Split()}
 		}
-		scalar := func(lane int, _ int64) int { return lanes[lane].r.Intn(S) }
 		m := uint64(S)
 		thresh := (-m) % m // Lemire rejection threshold, hoisted for the whole session
 		//robust:hotpath
@@ -242,21 +246,16 @@ func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, fu
 				dst[i] = int(hi)
 			}
 		}
-		return scalar, batch
+		return batch
 	case HashByValue:
-		scalar := func(_ int, x int64) int { return r.Route(x, 0, S, nil) }
 		//robust:hotpath
 		batch := func(_ int, xs []int64, dst []int) {
 			// The shared 8-wide group-hash lane; its modulo matches
-			// Route's exactly, so batch destinations are the scalar
-			// route's.
+			// Route's exactly.
 			runtime.RouteHashBatch(xs, dst, S)
 		}
-		return scalar, batch
-	case RoundRobin:
-		scalar := func(_ int, _ int64) int {
-			return int((s.liveRound.Add(1) - 1) % int64(S))
-		}
+		return batch
+	default: // RoundRobin
 		//robust:hotpath
 		batch := func(_ int, xs []int64, dst []int) {
 			// One atomic add claims the whole ticket run.
@@ -266,29 +265,7 @@ func (e *Engine) liveRouter(s *Serving, producers int) (func(int, int64) int, fu
 				dst[i] = int((start + int64(i)) % int64(S))
 			}
 		}
-		return scalar, batch
-	default:
-		route := func(x int64) int {
-			s.fallback++
-			si := e.router.Route(x, s.fallback, S, e.routerRNG)
-			if si < 0 || si >= S {
-				panic("shard: router returned out-of-range shard")
-			}
-			return si
-		}
-		scalar := func(_ int, x int64) int {
-			s.routeMu.Lock()
-			defer s.routeMu.Unlock()
-			return route(x)
-		}
-		batch := func(_ int, xs []int64, dst []int) {
-			s.routeMu.Lock()
-			defer s.routeMu.Unlock()
-			for i, x := range xs {
-				dst[i] = route(x)
-			}
-		}
-		return scalar, batch
+		return batch
 	}
 }
 

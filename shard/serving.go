@@ -131,9 +131,6 @@ func (e *Engine[T]) Serve(ctx context.Context) (*Serving[T], error) {
 		return nil, ErrServing
 	}
 	pcfg := e.cfg.pipeline
-	if pcfg.Producers <= 0 {
-		pcfg.Producers = 1
-	}
 	inner, err := e.inner.Serve(ishard.ServeConfig{
 		Producers:       pcfg.Producers,
 		RingSize:        pcfg.RingSize,
@@ -147,7 +144,7 @@ func (e *Engine[T]) Serve(ctx context.Context) (*Serving[T], error) {
 		return nil, err
 	}
 	s := &Serving[T]{e: e, inner: inner, onEpoch: pcfg.OnEpoch, done: make(chan struct{})}
-	s.prods = make([]*Producer[T], pcfg.Producers)
+	s.prods = make([]*Producer[T], inner.NumProducers())
 	for i := range s.prods {
 		s.prods[i] = &Producer[T]{s: s, inner: inner.Producer(i)}
 	}
