@@ -215,9 +215,9 @@ func (co *Coordinator) GlobalSample(k int, r *rng.RNG) []int64 {
 }
 
 // GlobalVerdict returns the exact prefix-system discrepancy of the union of
-// the per-server reservoirs against the union stream, computed by folding
-// the per-server accumulators (Accumulator.MergeFrom) — no substream is
-// re-read.
+// the per-server reservoirs against the union stream, computed by one
+// k-way sweep over the per-server accumulators' sorted bins
+// (shard.Engine.Verdict) — no substream is re-read.
 func (co *Coordinator) GlobalVerdict() setsystem.Discrepancy {
 	return co.c.eng.Verdict()
 }

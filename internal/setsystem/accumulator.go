@@ -111,9 +111,7 @@ type Accumulator struct {
 	// every entry with a single epoch bump instead of a map clear — both
 	// matter because the index sits on the per-element hot path.
 	index accIndex
-	vals  []int64 // slot -> value
-	cx    []int64 // slot -> multiplicity in the stream
-	cs    []int64 // slot -> multiplicity in the sample
+	bins  []Bin // slot -> (value, stream multiplicity, sample multiplicity)
 
 	// Block decomposition over slots sorted by value. Slots created since
 	// the last Max wait in pending (blockOf nil) so updates stay O(1);
@@ -168,16 +166,14 @@ func (s Suffixes) NewAccumulator() *Accumulator { return newAccumulator(accSuffi
 // so Monte-Carlo drivers reusing one engine across games allocate nothing
 // in steady state.
 func (a *Accumulator) Reserve(distinct int) {
-	if distinct <= 0 || len(a.vals) > 0 || a.index.live > 0 {
+	if distinct <= 0 || len(a.bins) > 0 || a.index.live > 0 {
 		return
 	}
 	if 2*distinct > len(a.index.keys) {
 		a.index.init(distinct)
 	}
-	if cap(a.vals) < distinct {
-		a.vals = make([]int64, 0, distinct)
-		a.cx = make([]int64, 0, distinct)
-		a.cs = make([]int64, 0, distinct)
+	if cap(a.bins) < distinct {
+		a.bins = make([]Bin, 0, distinct)
 		a.blockOf = make([]*accBlock, 0, distinct)
 		a.pending = make([]int32, 0, distinct)
 	}
@@ -281,13 +277,11 @@ func (a *Accumulator) slot(x int64) int32 {
 	if i, ok := a.index.lookup(x); ok {
 		return i
 	}
-	i := int32(len(a.vals))
+	i := int32(len(a.bins))
 	if x < 0 || x >= 1<<31 {
 		a.unpackable = true
 	}
-	a.vals = append(a.vals, x)
-	a.cx = append(a.cx, 0)
-	a.cs = append(a.cs, 0)
+	a.bins = append(a.bins, Bin{Val: x})
 	a.blockOf = append(a.blockOf, nil)
 	a.pending = append(a.pending, i)
 	a.index.insert(x, i)
@@ -297,15 +291,16 @@ func (a *Accumulator) slot(x int64) int32 {
 // AddStream appends one element to the stream multiset.
 func (a *Accumulator) AddStream(x int64) {
 	s := a.slot(x)
-	a.cx[s]++
+	a.bins[s].Cx++
 	a.nx++
 	if b := a.blockOf[s]; b != nil {
+		cx := a.bins[s].Cx
 		b.sumCx++
-		if a.cx[s] == 1 {
+		if cx == 1 {
 			b.nzCx++
 		}
-		if a.cx[s] > b.maxCx {
-			b.maxCx = a.cx[s]
+		if cx > b.maxCx {
+			b.maxCx = cx
 		}
 		b.touched = true
 		b.hullValid = false
@@ -333,16 +328,17 @@ func (a *Accumulator) AddStreamBatch(xs []int64) {
 func (a *Accumulator) AddStreamAndSampleBatch(xs []int64) {
 	for _, x := range xs {
 		s := a.slot(x)
-		a.cx[s]++
-		a.cs[s]++
+		bn := &a.bins[s]
+		bn.Cx++
+		bn.Cs++
 		if b := a.blockOf[s]; b != nil {
 			b.sumCx++
 			b.sumCs++
-			if a.cx[s] == 1 {
+			if bn.Cx == 1 {
 				b.nzCx++
 			}
-			if a.cx[s] > b.maxCx {
-				b.maxCx = a.cx[s]
+			if bn.Cx > b.maxCx {
+				b.maxCx = bn.Cx
 			}
 			b.touched = true
 			b.hullValid = false
@@ -355,7 +351,7 @@ func (a *Accumulator) AddStreamAndSampleBatch(xs []int64) {
 // AddSample adds one element to the sample multiset.
 func (a *Accumulator) AddSample(x int64) {
 	s := a.slot(x)
-	a.cs[s]++
+	a.bins[s].Cs++
 	a.ns++
 	if b := a.blockOf[s]; b != nil {
 		b.sumCs++
@@ -368,10 +364,10 @@ func (a *Accumulator) AddSample(x int64) {
 // reservoir eviction path. It panics if x is not currently in the sample.
 func (a *Accumulator) RemoveSample(x int64) {
 	i, ok := a.index.lookup(x)
-	if !ok || a.cs[i] == 0 {
+	if !ok || a.bins[i].Cs == 0 {
 		panic("setsystem: RemoveSample of element not in sample")
 	}
-	a.cs[i]--
+	a.bins[i].Cs--
 	a.ns--
 	if b := a.blockOf[i]; b != nil {
 		b.sumCs--
@@ -393,9 +389,7 @@ func (a *Accumulator) SampleLen() int { return int(a.ns) }
 // nothing in steady state.
 func (a *Accumulator) Reset() {
 	a.index.reset()
-	a.vals = a.vals[:0]
-	a.cx = a.cx[:0]
-	a.cs = a.cs[:0]
+	a.bins = a.bins[:0]
 	a.blockPool = append(a.blockPool, a.blocks...)
 	a.blocks = a.blocks[:0]
 	a.blockOf = a.blockOf[:0]
@@ -433,7 +427,7 @@ func (a *Accumulator) placePending() {
 		// long span of fresh values.
 		buf := a.packScratch[:0]
 		for _, s := range a.pending {
-			buf = append(buf, uint64(a.vals[s])<<32|uint64(uint32(s)))
+			buf = append(buf, uint64(a.bins[s].Val)<<32|uint64(uint32(s)))
 		}
 		a.packScratch = buf
 		a.sortPacked(buf)
@@ -443,15 +437,15 @@ func (a *Accumulator) placePending() {
 	} else {
 		slices.SortFunc(a.pending, func(i, j int32) int {
 			switch {
-			case a.vals[i] < a.vals[j]:
+			case a.bins[i].Val < a.bins[j].Val:
 				return -1
-			case a.vals[i] > a.vals[j]:
+			case a.bins[i].Val > a.bins[j].Val:
 				return 1
 			}
 			return 0
 		})
 	}
-	if b := int(math.Sqrt(float64(len(a.vals)))); b > a.blockB {
+	if b := int(math.Sqrt(float64(len(a.bins)))); b > a.blockB {
 		a.blockB = b
 	}
 	if len(a.blocks) == 0 {
@@ -474,11 +468,11 @@ func (a *Accumulator) placePending() {
 			// This block takes the pending values at or below its
 			// current maximum; the rest belong to later blocks (the
 			// last block takes everything above all maxima).
-			maxV := a.vals[b.slots[len(b.slots)-1]]
+			maxV := a.bins[b.slots[len(b.slots)-1]].Val
 			lo, up := p, len(a.pending)
 			for lo < up {
 				mid := (lo + up) / 2
-				if a.vals[a.pending[mid]] < maxV {
+				if a.bins[a.pending[mid]].Val < maxV {
 					lo = mid + 1
 				} else {
 					up = mid
@@ -550,7 +544,7 @@ func (a *Accumulator) mergeInto(b *accBlock, group []int32) {
 	b.slots = append(b.slots, group...)
 	i, j := old-1, len(group)-1
 	for k := len(b.slots) - 1; j >= 0; k-- {
-		if i >= 0 && a.vals[b.slots[i]] > a.vals[group[j]] {
+		if i >= 0 && a.bins[b.slots[i]].Val > a.bins[group[j]].Val {
 			b.slots[k] = b.slots[i]
 			i--
 		} else {
@@ -560,14 +554,7 @@ func (a *Accumulator) mergeInto(b *accBlock, group []int32) {
 	}
 	for _, s := range group {
 		a.blockOf[s] = b
-		b.sumCx += a.cx[s]
-		b.sumCs += a.cs[s]
-		if a.cx[s] > 0 {
-			b.nzCx++
-		}
-		if a.cx[s] > b.maxCx {
-			b.maxCx = a.cx[s]
-		}
+		b.absorb(&a.bins[s])
 	}
 	b.touched = true
 	b.hullValid = false
@@ -581,14 +568,19 @@ func (a *Accumulator) adoptBlock(b *accBlock) {
 	b.hullValid = false
 	for _, s := range b.slots {
 		a.blockOf[s] = b
-		b.sumCx += a.cx[s]
-		b.sumCs += a.cs[s]
-		if a.cx[s] > 0 {
-			b.nzCx++
-		}
-		if a.cx[s] > b.maxCx {
-			b.maxCx = a.cx[s]
-		}
+		b.absorb(&a.bins[s])
+	}
+}
+
+// absorb folds one slot's counts into the block aggregates.
+func (b *accBlock) absorb(bn *Bin) {
+	b.sumCx += bn.Cx
+	b.sumCs += bn.Cs
+	if bn.Cx > 0 {
+		b.nzCx++
+	}
+	if bn.Cx > b.maxCx {
+		b.maxCx = bn.Cx
 	}
 }
 
@@ -631,7 +623,7 @@ func (a *Accumulator) rebuildHulls(b *accBlock) {
 	if a.mode == accSingletons {
 		pts := a.ptScratch[:0]
 		for _, s := range b.slots {
-			pts = append(pts, hullPoint{a.cs[s], a.cx[s]})
+			pts = append(pts, hullPoint{a.bins[s].Cs, a.bins[s].Cx})
 		}
 		slices.SortFunc(pts, func(p, q hullPoint) int {
 			switch {
@@ -657,8 +649,9 @@ func (a *Accumulator) rebuildHulls(b *accBlock) {
 	}
 	var px, py int64
 	for _, s := range b.slots {
-		px += a.cs[s]
-		py += a.cx[s]
+		bn := &a.bins[s]
+		px += bn.Cs
+		py += bn.Cx
 		b.upper = pushUpper(b.upper, hullPoint{px, py})
 		b.lower = pushLower(b.lower, hullPoint{px, py})
 	}
@@ -741,26 +734,27 @@ func (a *Accumulator) rescanBlock(idx int, kind int, target int64) int64 {
 	}
 	num := a.ns*offCx - a.nx*offCs
 	for _, s := range b.slots {
+		bn := &a.bins[s]
 		switch kind {
 		case scanNumEquals, scanAbsEquals:
-			num += a.cx[s]*a.ns - a.cs[s]*a.nx
+			num += bn.Cx*a.ns - bn.Cs*a.nx
 			if kind == scanNumEquals && num == target {
-				return a.vals[s]
+				return bn.Val
 			}
 			if kind == scanAbsEquals && abs64(num) == target {
-				return a.vals[s]
+				return bn.Val
 			}
 		case scanCxEquals:
-			if a.cx[s] == target {
-				return a.vals[s]
+			if bn.Cx == target {
+				return bn.Val
 			}
 		case scanAbsPoint:
-			if abs64(a.cx[s]*a.ns-a.cs[s]*a.nx) == target {
-				return a.vals[s]
+			if abs64(bn.Cx*a.ns-bn.Cs*a.nx) == target {
+				return bn.Val
 			}
 		case scanCxNonzero:
-			if a.cx[s] > 0 {
-				return a.vals[s]
+			if bn.Cx > 0 {
+				return bn.Val
 			}
 		}
 	}
@@ -797,7 +791,8 @@ func (a *Accumulator) sweepBlockCDF(b *accBlock, c int64) (mx, mn int64) {
 	num := c
 	first := true
 	for _, s := range b.slots {
-		num += a.cx[s]*a.ns - a.cs[s]*a.nx
+		bn := &a.bins[s]
+		num += bn.Cx*a.ns - bn.Cs*a.nx
 		if first {
 			mx, mn = num, num
 			first = false
@@ -818,7 +813,8 @@ func (a *Accumulator) sweepBlockCDF(b *accBlock, c int64) (mx, mn int64) {
 func (a *Accumulator) sweepBlockPoints(b *accBlock) (mx, mn int64) {
 	first := true
 	for _, s := range b.slots {
-		f := a.cx[s]*a.ns - a.cs[s]*a.nx
+		bn := &a.bins[s]
+		f := bn.Cx*a.ns - bn.Cs*a.nx
 		if first {
 			mx, mn = f, f
 			first = false
@@ -940,8 +936,8 @@ func (a *Accumulator) emptySampleCDF() Discrepancy {
 			continue
 		}
 		for j := len(b.slots) - 1; j >= 0; j-- {
-			if a.cx[b.slots[j]] > 0 {
-				maxV = a.vals[b.slots[j]]
+			if bn := &a.bins[b.slots[j]]; bn.Cx > 0 {
+				maxV = bn.Val
 				break
 			}
 		}

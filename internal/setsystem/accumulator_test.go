@@ -293,9 +293,9 @@ func TestAccumulatorAddStreamBatch(t *testing.T) {
 // internal histogram, for one-shot comparison.
 func seqSample(a *Accumulator) []int64 {
 	var out []int64
-	for s, c := range a.cs {
-		for i := int64(0); i < c; i++ {
-			out = append(out, a.vals[s])
+	for _, b := range a.bins {
+		for i := int64(0); i < b.Cs; i++ {
+			out = append(out, b.Val)
 		}
 	}
 	return out

@@ -134,3 +134,104 @@ func FuzzPrefixDiscrepancyMatchesBrute(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergedMaxParity splits a stream/sample pair decoded from fuzz bytes
+// over 1-16 sources with overlapping values and requires the k-way sweep
+// over the sources' sorted bins (MergedMax) to equal, error AND witness,
+// both Max on a MergeFrom-folded accumulator and the one-shot
+// MaxDiscrepancy, for all four set systems. The first byte picks the
+// source count and whether values are spread outside [0, 2^31) (negative
+// and wide values: the non-packable sort path). The rest are (op, source)
+// pairs: stream adds, sample adds, evictions — a sample-only value added
+// and evicted leaves a fully zero bin — and checkpoints, which export some
+// sources mid-stream so placed and pending values mix. Inputs without
+// sample adds cover the empty union sample.
+func FuzzMergedMaxParity(f *testing.F) {
+	f.Add([]byte{0x03, 0x01, 0x00, 0x42, 0x01, 0x83, 0x02, 0xc4, 0x00, 0xe5, 0x01, 0x46, 0x02})
+	f.Add([]byte{0x8f, 0x01, 0x03, 0x1f, 0x0e, 0x01, 0x07, 0xe0, 0x00, 0xa1, 0x05, 0x41, 0x0a})
+	f.Add([]byte{0x00, 0x05, 0x00, 0x05, 0x00, 0x09, 0x00})
+	f.Add([]byte{0x81, 0x05, 0x00, 0x17, 0x01, 0xc9, 0x00, 0xc9, 0x01})
+	f.Add([]byte{0x07, 0xc3, 0x02, 0x03, 0x02, 0xa3, 0x05, 0xe0, 0x02, 0x23, 0x05})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		parts := int(data[0]&0x0f) + 1
+		wide := data[0]&0x80 != 0
+		value := func(b byte) int64 {
+			x := int64(b&0x1f) + 1 // [1, 32]
+			if wide {
+				return (x - 16) << 35
+			}
+			return x
+		}
+		const universe = 32
+		for _, sys := range []SetSystem{
+			NewPrefixes(universe), NewIntervals(universe),
+			NewSingletons(universe), NewSuffixes(universe),
+		} {
+			srcs := make([]*Accumulator, parts)
+			samples := make([][]int64, parts)
+			for i := range srcs {
+				srcs[i] = sys.NewAccumulator()
+				srcs[i].blockB = 3
+			}
+			var stream []int64
+			for i := 1; i+1 < len(data); i += 2 {
+				b, p := data[i], int(data[i+1])%parts
+				x := value(b)
+				switch op := b >> 5; {
+				case op <= 3:
+					stream = append(stream, x)
+					srcs[p].AddStream(x)
+				case op <= 5:
+					samples[p] = append(samples[p], x)
+					srcs[p].AddSample(x)
+				case op == 6:
+					if s := samples[p]; len(s) > 0 {
+						j := i % len(s)
+						srcs[p].RemoveSample(s[j])
+						s[j] = s[len(s)-1]
+						samples[p] = s[:len(s)-1]
+					} else {
+						srcs[p].AddSample(x)
+						srcs[p].RemoveSample(x)
+					}
+				default:
+					srcs[p].AppendSorted(nil)
+					checkMergedParity(t, sys, srcs, stream, samples)
+				}
+			}
+			checkMergedParity(t, sys, srcs, stream, samples)
+		}
+	})
+}
+
+// checkMergedParity demands MergedMax over the sources' exports equal Max
+// on their MergeFrom fold and, on a non-empty union stream, the one-shot
+// (checkParity's pinned empty-stream divergence applies here too).
+func checkMergedParity(t *testing.T, sys SetSystem, srcs []*Accumulator, stream []int64, samples [][]int64) {
+	t.Helper()
+	runs := make([][]Bin, len(srcs))
+	folded := sys.NewAccumulator()
+	var sample []int64
+	for i, s := range srcs {
+		runs[i] = s.AppendSorted(nil)
+		folded.MergeFrom(s)
+		sample = append(sample, samples[i]...)
+	}
+	got := MergedMax(sys, runs)
+	if want := folded.Max(); got != want {
+		t.Fatalf("%s: MergedMax %v != MergeFrom+Max %v (runs=%v)", sys.Name(), got, want, runs)
+	}
+	if len(stream) == 0 {
+		if got != (Discrepancy{}) {
+			t.Fatalf("%s: empty-stream MergedMax %v, want zero", sys.Name(), got)
+		}
+		return
+	}
+	if want := sys.MaxDiscrepancy(stream, sample); got != want {
+		t.Fatalf("%s: MergedMax %v != one-shot %v (stream=%v sample=%v)", sys.Name(), got, want, stream, sample)
+	}
+}

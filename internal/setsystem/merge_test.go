@@ -194,39 +194,164 @@ func TestMergeFromValidation(t *testing.T) {
 	}
 }
 
-// TestCopyFromMatchesSource pins the read-barrier copy hook: after
-// CopyFrom, the copy's verdict is bit-identical to the source's, the
-// source is untouched, and the copy then evolves independently.
-func TestCopyFromMatchesSource(t *testing.T) {
+// TestAppendSortedExportsHistogram pins the export the merged verdict
+// reads: strictly ascending values, only nonzero bins (an all-evicted
+// sample-only value is skipped), exact multiplicities — and no change to
+// the source's verdict or snapshot bytes, before or after placement.
+func TestAppendSortedExportsHistogram(t *testing.T) {
 	r := rng.New(55)
-	for _, sys := range []SetSystem{NewPrefixes(64), NewIntervals(64), NewSingletons(64), NewSuffixes(64)} {
+	for _, sys := range []SetSystem{NewPrefixes(4096), NewIntervals(4096), NewSingletons(4096), NewSuffixes(4096)} {
 		src := sys.NewAccumulator()
-		dst := sys.NewAccumulator()
-		for i := 0; i < 500; i++ {
-			x := 1 + r.Int63n(64)
+		cx := map[int64]int64{}
+		cs := map[int64]int64{}
+		for i := 0; i < 3000; i++ {
+			x := 1 + r.Int63n(4096)
 			src.AddStream(x)
+			cx[x]++
 			if i%3 == 0 {
 				src.AddSample(x)
+				cs[x]++
+			}
+			if i == 1500 {
+				src.Max() // half the values placed, half pending
 			}
 		}
-		// A reused destination must be fully overwritten.
-		dst.AddStream(7)
-		dst.AddSample(7)
-		dst.CopyFrom(src)
+		src.AddSample(5000) // a sample-only value, then evicted: a zero bin
+		src.RemoveSample(5000)
+		wantSnap := src.AppendSnapshot(nil)
 		want := src.Max()
-		if got := dst.Max(); got != want {
-			t.Fatalf("%T: copy verdict %v, source %v", sys, got, want)
+		bins := src.AppendSorted([]Bin{{Val: -1}})
+		if bins[0] != (Bin{Val: -1}) {
+			t.Fatalf("%s: AppendSorted overwrote dst's prefix", sys.Name())
+		}
+		bins = bins[1:]
+		if len(bins) != len(cx) {
+			t.Fatalf("%s: %d bins, want %d distinct values", sys.Name(), len(bins), len(cx))
+		}
+		for i, b := range bins {
+			if i > 0 && b.Val <= bins[i-1].Val {
+				t.Fatalf("%s: bins not strictly ascending at %d: %v after %v", sys.Name(), i, b, bins[i-1])
+			}
+			if b.Cx != cx[b.Val] || b.Cs != cs[b.Val] {
+				t.Fatalf("%s: bin %v, want cx=%d cs=%d", sys.Name(), b, cx[b.Val], cs[b.Val])
+			}
 		}
 		if got := src.Max(); got != want {
-			t.Fatalf("%T: CopyFrom perturbed the source: %v vs %v", sys, got, want)
+			t.Fatalf("%s: AppendSorted changed the verdict: %v vs %v", sys.Name(), got, want)
 		}
-		// Independent evolution: mutating the copy leaves the source alone.
-		dst.AddStream(1)
-		if got := src.Max(); got != want {
-			t.Fatalf("%T: copy mutation leaked into the source", sys)
+		if got := src.AppendSnapshot(nil); string(got) != string(wantSnap) {
+			t.Fatalf("%s: AppendSorted changed the snapshot bytes", sys.Name())
 		}
-		if src.StreamLen() == dst.StreamLen() {
-			t.Fatalf("%T: copy did not diverge after mutation", sys)
+		if got := MergedMax(sys, [][]Bin{bins}); got != want {
+			t.Fatalf("%s: one-run MergedMax %v, Max %v", sys.Name(), got, want)
 		}
+	}
+}
+
+// TestMergedMaxMatchesMergeFrom splits overlapping streams over 1..20
+// sources (past the no-alloc fan-in of 16) at sizes past the radix-sort
+// break-even, and requires the k-way sweep to equal both the MergeFrom fold
+// and the one-shot, for all four systems.
+func TestMergedMaxMatchesMergeFrom(t *testing.T) {
+	r := rng.New(77)
+	for _, universe := range []int64{64, 1 << 20} {
+		for _, sys := range []SetSystem{
+			NewPrefixes(universe), NewIntervals(universe),
+			NewSingletons(universe), NewSuffixes(universe),
+		} {
+			for _, parts := range []int{1, 2, 4, 16, 20} {
+				srcs := make([]*Accumulator, parts)
+				for i := range srcs {
+					srcs[i] = sys.NewAccumulator()
+				}
+				var stream, sample []int64
+				for i := 0; i < 4000; i++ {
+					x := 1 + r.Int63n(universe)
+					p := r.Intn(parts)
+					srcs[p].AddStream(x)
+					stream = append(stream, x)
+					if r.Float64() < 0.1 {
+						srcs[p].AddSample(x)
+						sample = append(sample, x)
+					}
+				}
+				runs := make([][]Bin, parts)
+				merged := sys.NewAccumulator()
+				for i, s := range srcs {
+					runs[i] = s.AppendSorted(nil)
+					merged.MergeFrom(s)
+				}
+				got := MergedMax(sys, runs)
+				if want := merged.Max(); got != want {
+					t.Fatalf("%s U=%d S=%d: MergedMax %v, MergeFrom+Max %v", sys.Name(), universe, parts, got, want)
+				}
+				if want := sys.MaxDiscrepancy(stream, sample); got != want {
+					t.Fatalf("%s U=%d S=%d: MergedMax %v, one-shot %v", sys.Name(), universe, parts, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMergedMaxEmpty: no runs, empty runs and a stream-free union all give
+// the zero Discrepancy, like Max on an empty accumulator; a foreign set
+// system panics.
+func TestMergedMaxEmpty(t *testing.T) {
+	sys := NewSuffixes(10)
+	for _, runs := range [][][]Bin{nil, {nil, {}}, {{{Val: 3, Cs: 2}}}} {
+		if got := MergedMax(sys, runs); got != (Discrepancy{}) {
+			t.Fatalf("MergedMax(%v) = %v, want zero", runs, got)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MergedMax accepted a foreign set system")
+		}
+	}()
+	MergedMax(struct{ SetSystem }{sys}, nil)
+}
+
+// BenchmarkMergedMax times the k-way sweep alone over S runs of
+// 2^18 values drawn from [1, U]: disjoint (hash-routed shards, U=2^20 x S)
+// or overlapping (uniformly routed shards: with U=2^12 every value is in
+// every run).
+func BenchmarkMergedMax(b *testing.B) {
+	for _, tc := range []struct {
+		name     string
+		S        int
+		universe int64
+		disjoint bool
+	}{
+		{"disjoint/S=4", 4, 1 << 20, true},
+		{"disjoint/S=16", 16, 1 << 20, true},
+		{"overlap/U=2^12/S=4", 4, 1 << 12, false},
+		{"overlap/U=2^20/S=4", 4, 1 << 20, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			sys := NewPrefixes(tc.universe * int64(tc.S))
+			r := rng.New(5)
+			runs := make([][]Bin, tc.S)
+			for i := range runs {
+				acc := sys.NewAccumulator()
+				for j := 0; j < 1<<18; j++ {
+					x := 1 + r.Int63n(tc.universe)
+					if tc.disjoint {
+						x = x*int64(tc.S) + int64(i)
+					}
+					acc.AddStream(x)
+					if j%64 == 0 {
+						acc.AddSample(x)
+					}
+				}
+				runs[i] = acc.AppendSorted(nil)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if MergedMax(sys, runs).Err < 0 {
+					b.Fatal("impossible verdict")
+				}
+			}
+		})
 	}
 }

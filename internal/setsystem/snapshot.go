@@ -20,11 +20,11 @@ import (
 func (a *Accumulator) AppendSnapshot(buf []byte) []byte {
 	buf = append(buf, byte(a.mode))
 	buf = snapshot.AppendInt64(buf, a.universe)
-	buf = snapshot.AppendUint64(buf, uint64(len(a.vals)))
-	for i := range a.vals {
-		buf = snapshot.AppendInt64(buf, a.vals[i])
-		buf = snapshot.AppendInt64(buf, a.cx[i])
-		buf = snapshot.AppendInt64(buf, a.cs[i])
+	buf = snapshot.AppendUint64(buf, uint64(len(a.bins)))
+	for _, b := range a.bins {
+		buf = snapshot.AppendInt64(buf, b.Val)
+		buf = snapshot.AppendInt64(buf, b.Cx)
+		buf = snapshot.AppendInt64(buf, b.Cs)
 	}
 	return buf
 }
@@ -34,7 +34,7 @@ func (a *Accumulator) AppendSnapshot(buf []byte) []byte {
 // decoded sampler it must stay in lockstep with.
 func (a *Accumulator) SampleCount(x int64) int64 {
 	if s, ok := a.index.lookup(x); ok {
-		return a.cs[s]
+		return a.bins[s].Cs
 	}
 	return 0
 }
@@ -73,8 +73,8 @@ func (a *Accumulator) LoadSnapshot(r *snapshot.Reader) error {
 			a.Reset()
 			return fmt.Errorf("setsystem: duplicate value %d in snapshot: %w", val, snapshot.ErrCorrupt)
 		}
-		a.cx[s] = cx
-		a.cs[s] = cs
+		a.bins[s].Cx = cx
+		a.bins[s].Cs = cs
 		a.nx += cx
 		a.ns += cs
 	}

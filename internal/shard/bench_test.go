@@ -12,39 +12,58 @@ import (
 )
 
 // BenchmarkMergedVerdict measures one global checkpoint on a loaded engine:
-// Reset + MergeFrom over every shard's accumulator + Max. Cost is
-// O(S * distinct values), independent of how much raw traffic the shards
-// absorbed; BENCH.md compares it against re-ingesting the concatenated
-// stream.
+// every shard's sorted bins copied out (AppendSorted) and merged in one
+// k-way sweep (MergedMax). Cost is O(S * distinct values), independent of
+// how much raw traffic the shards absorbed; BENCH.md compares it against
+// re-ingesting the concatenated stream. The HashByValue sub-benchmark is
+// the serve-sparse shape: 4 hash-routed shards, k=1024, 2^22 elements over
+// U=2^20 (~1M distinct values, disjoint across shards).
 func BenchmarkMergedVerdict(b *testing.B) {
 	const n = 1 << 18
 	for _, universe := range []int64{1 << 20, 1 << 12} {
 		for _, S := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("U=2^%d/S=%d", bits.Len64(uint64(universe))-1, S), func(b *testing.B) {
-				eng := New(Config{
-					Shards: S,
-					Router: Uniform{},
-					System: setsystem.NewPrefixes(universe),
-					NewSampler: func(int) game.Sampler {
-						return sampler.NewReservoir[int64](2048)
-					},
-					Workers: 1,
-				}, rng.New(1))
-				gen := rng.New(2)
-				stream := make([]int64, n)
-				for i := range stream {
-					stream[i] = 1 + gen.Int63n(universe)
-				}
-				eng.OfferBatch(stream)
-				eng.Verdict() // warm the scratch engine's tables
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if eng.Verdict().Err < 0 {
-						b.Fatal("impossible verdict")
-					}
-				}
+				benchVerdict(b, loadedEngine(Uniform{}, S, 2048, universe, n))
 			})
+		}
+	}
+	var sparse *Engine // built once: its set-up dwarfs the timed verdicts
+	b.Run("HashByValue/U=2^20/S=4/k=1024", func(b *testing.B) {
+		if sparse == nil {
+			sparse = loadedEngine(HashByValue{}, 4, 1024, 1<<20, 1<<22)
+		}
+		benchVerdict(b, sparse)
+	})
+}
+
+// loadedEngine builds an S-shard reservoir engine over Prefixes(universe)
+// and ingests n uniform values.
+func loadedEngine(router Router, S, k int, universe int64, n int) *Engine {
+	eng := New(Config{
+		Shards: S,
+		Router: router,
+		System: setsystem.NewPrefixes(universe),
+		NewSampler: func(int) game.Sampler {
+			return sampler.NewReservoir[int64](k)
+		},
+		Workers: 1,
+	}, rng.New(1))
+	gen := rng.New(2)
+	stream := make([]int64, n)
+	for i := range stream {
+		stream[i] = 1 + gen.Int63n(universe)
+	}
+	eng.OfferBatch(stream)
+	return eng
+}
+
+func benchVerdict(b *testing.B, eng *Engine) {
+	eng.Verdict() // place every shard's values and size the run buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if eng.Verdict().Err < 0 {
+			b.Fatal("impossible verdict")
 		}
 	}
 }

@@ -342,19 +342,13 @@ func (s *Serving) coveredShards(fn func(i int, sh *shardState)) Coverage {
 // what the answer reflects.
 func (s *Serving) VerdictCovered() (setsystem.Discrepancy, Coverage) {
 	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	cov := s.coveredShards(func(i int, sh *shardState) {
-		e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
+	var cov Coverage
+	d := e.mergedVerdict(0, len(e.shards), func() {
+		cov = s.coveredShards(func(i int, _ *shardState) { e.copyRun(i) })
 	})
-	return e.global.Max(), cov
+	return d, cov
 }
 
 // SampleCovered is Sample with graceful degradation: the union sample over

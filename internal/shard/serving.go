@@ -21,9 +21,9 @@
 //
 // Queries lock one shard at a time (Freeze: all of them) only against the
 // consumers' bounded apply chunks; the offer hot path never blocks on a
-// query. ShardVerdict additionally copies the shard's accumulator behind
-// the lock (setsystem.CopyFrom, the read-barrier copy hook) and runs the
-// discrepancy scan on the copy outside it.
+// query. Verdicts hold each shard lock only to copy that shard's sorted
+// bins (setsystem.Accumulator.AppendSorted) and run the merge and sweep
+// after every lock is released.
 package shard
 
 import (
@@ -92,8 +92,7 @@ type Serving struct {
 	pl  *runtime.Pipeline
 	sup *supervisor // nil when supervision is off
 
-	qmu     sync.Mutex             // serializes queries (shared scratch accumulators)
-	scratch *setsystem.Accumulator // ShardVerdict copy target
+	qmu sync.Mutex // serializes verdicts (the engine's shared run buffers)
 
 	routeMu     sync.Mutex // serializes deterministic routing state against Freeze
 	startRounds int
@@ -291,48 +290,33 @@ func (s *Serving) AppliedRounds() int {
 func (s *Serving) Flush() runtime.Epoch { return s.pl.Flush() }
 
 // Verdict returns the exact discrepancy of the union of the applied
-// substreams against the union of the per-shard samples, merging per-shard
-// histograms behind each shard's read barrier. It runs concurrently with
-// ingest: each shard's (substream, sample) pair is internally consistent,
-// with shards cut at slightly different points of the in-flight stream —
-// Flush first (or quiesce producers) for a cut covering everything offered.
+// substreams against the union of the per-shard samples. Each shard is
+// locked only to copy its sorted bins; the merge and sweep run after every
+// lock is released. It runs concurrently with ingest: each shard's
+// (substream, sample) pair is internally consistent, with shards cut at
+// slightly different points of the in-flight stream — Flush first (or
+// quiesce producers) for a cut covering everything offered.
 func (s *Serving) Verdict() setsystem.Discrepancy {
 	e := s.e
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	for i, sh := range e.shards {
-		s.pl.WithShard(i, func() {
-			e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
-		})
-	}
-	return e.global.Max()
+	return e.mergedVerdict(0, len(e.shards), func() {
+		for i := range e.shards {
+			s.pl.WithShard(i, func() { e.copyRun(i) })
+		}
+	})
 }
 
 // ShardVerdict returns shard i's local discrepancy. The shard is locked
-// only for a histogram copy (CopyFrom); the discrepancy scan runs on the
-// copy, outside the lock, so slow verdicts never stall that shard's ingest.
+// only for the bin copy; the sweep runs outside the lock, so slow verdicts
+// never stall that shard's ingest.
 func (s *Serving) ShardVerdict(i int) setsystem.Discrepancy {
 	e := s.e
-	sh := e.shards[i]
-	if sh.sampler == nil {
-		panic("shard: ShardVerdict requires samplers (routing-only engine)")
-	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	if s.scratch == nil {
-		s.scratch = e.cfg.System.NewAccumulator()
-	}
-	s.pl.WithShard(i, func() {
-		e.withSampleSynced(sh, func() { s.scratch.CopyFrom(sh.acc) })
+	return e.mergedVerdict(i, i+1, func() {
+		s.pl.WithShard(i, func() { e.copyRun(i) })
 	})
-	return s.scratch.Max()
 }
 
 // Sample returns a copy of the union of the per-shard samples, in shard

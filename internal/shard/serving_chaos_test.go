@@ -401,3 +401,89 @@ func TestServeFaultPlanValidation(t *testing.T) {
 // noCodecSampler is a game.Sampler with no snapshot codec (the sampler
 // package's AppendState does not know the type).
 type noCodecSampler struct{ *sampler.Reservoir[int64] }
+
+// TestVerdictCoveredExactUnderPartialCoverage pins what a degraded verdict
+// means: with one shard wedged by an injected stall (holding its lock),
+// VerdictCovered must equal the one-shot MaxDiscrepancy over exactly the
+// covered shards — their substreams, recomputed here by hash routing, and
+// their samples. Deterministic HashByValue serving makes every shard's
+// substream a pure function of the stream: a first stream is ingested
+// serially, then a second one whose values all hash to the stalled shard is
+// served, so only that shard applies (and stalls) while the query runs.
+//
+//robust:nondet wall-clock poll deadline only; the compared verdicts are seed-deterministic
+func TestVerdictCoveredExactUnderPartialCoverage(t *testing.T) {
+	const (
+		S       = 4
+		stalled = 2
+	)
+	sys := setsystem.NewPrefixes(servingUniverse)
+	eng := chaosEngine(S, HashByValue{}, 11)
+	first := servingStream(5000, 77)
+	eng.OfferBatch(first)
+
+	dst := make([]int, len(first))
+	runtime.RouteHashBatch(first, dst, S)
+	var substream, sample []int64
+	for i, x := range first {
+		if dst[i] != stalled {
+			substream = append(substream, x)
+		}
+	}
+	for i := 0; i < S; i++ {
+		if i != stalled {
+			sample = append(sample, eng.ShardSampler(i).View()...)
+		}
+	}
+	want := sys.MaxDiscrepancy(substream, sample)
+
+	more := servingStream(2000, 78)
+	dst = make([]int, len(more))
+	runtime.RouteHashBatch(more, dst, S)
+	var second []int64
+	for i, x := range more {
+		if dst[i] == stalled {
+			second = append(second, x)
+		}
+	}
+
+	plan := faults.MustPlan(faults.Spec{
+		Seed: 5, StallProb: 1, StallFor: 400 * time.Millisecond, MaxPerShard: 1,
+	}, S)
+	srv, err := eng.Serve(ServeConfig{
+		Producers: 1, ChunkCap: 64, Deterministic: true,
+		CheckpointEvery: 1 << 20, Faults: plan, QueryWait: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Verdict() // fills every shard's run: a stale one must not leak into the covered verdict
+	if err := srv.Producer(0).OfferBatch(second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, cov := srv.VerdictCovered()
+		if !cov.Complete() {
+			if len(cov.Stalled) != 1 || cov.Stalled[0] != stalled || cov.Included != S-1 {
+				t.Fatalf("coverage %+v, want only shard %d stalled", cov, stalled)
+			}
+			if cov.Covered != len(substream) {
+				t.Fatalf("covered rounds %d, want %d", cov.Covered, len(substream))
+			}
+			if got != want {
+				t.Fatalf("VerdictCovered %+v, one-shot over the covered shards %+v", got, want)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("never observed the stalled shard being skipped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Flush()
+	if got, want := srv.Verdict(), sys.MaxDiscrepancy(append(first, second...), srv.Sample()); got != want {
+		t.Fatalf("post-stall Verdict %+v, one-shot %+v", got, want)
+	}
+}

@@ -388,3 +388,37 @@ func TestServingRejectsRecordedStreams(t *testing.T) {
 		t.Fatal("Serve accepted a RecordStreams engine")
 	}
 }
+
+// TestVerdictZeroAlloc pins the merged verdict's steady state: once the
+// run buffers are sized, Engine.Verdict and Serving.Verdict (and the
+// one-run ShardVerdict) allocate nothing.
+func TestVerdictZeroAlloc(t *testing.T) {
+	for _, router := range []Router{Uniform{}, HashByValue{}} {
+		eng := New(Config{
+			Shards: 4, Router: router, System: setsystem.NewIntervals(servingUniverse),
+			NewSampler: func(int) game.Sampler { return sampler.NewReservoir[int64](64) },
+			Workers:    1,
+		}, rng.New(3))
+		eng.OfferBatch(servingStream(20000, 9))
+		eng.Verdict()
+		if n := testing.AllocsPerRun(20, func() { eng.Verdict() }); n != 0 {
+			t.Fatalf("%s: Engine.Verdict allocates %v times per call", router.Name(), n)
+		}
+		if n := testing.AllocsPerRun(20, func() { eng.ShardVerdict(1) }); n != 0 {
+			t.Fatalf("%s: Engine.ShardVerdict allocates %v times per call", router.Name(), n)
+		}
+		srv, err := eng.Serve(ServeConfig{Producers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Producer(0).OfferBatch(servingStream(5000, 10)); err != nil {
+			t.Fatal(err)
+		}
+		srv.Flush()
+		srv.Verdict()
+		if n := testing.AllocsPerRun(20, func() { srv.Verdict() }); n != 0 {
+			t.Fatalf("%s: Serving.Verdict allocates %v times per call", router.Name(), n)
+		}
+		srv.Close()
+	}
+}

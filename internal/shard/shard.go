@@ -7,8 +7,9 @@
 // coordinator answers global checkpoint queries without ever touching raw
 // substreams:
 //
-//   - Verdict merges the per-shard histograms through the setsystem
-//     Accumulator's MergeFrom path, yielding the exact discrepancy of the
+//   - Verdict copies each shard's histogram out as a value-sorted bin run
+//     (setsystem.Accumulator.AppendSorted) and merges the runs in one k-way
+//     sweep (setsystem.MergedMax), yielding the exact discrepancy of the
 //     union stream against the union sample — bit-identical (error AND
 //     witness) to a one-shot MaxDiscrepancy on the concatenated stream — at
 //     a cost proportional to distinct values, not stream length.
@@ -79,8 +80,8 @@ type Engine struct {
 	router    Router
 	routerRNG *rng.RNG
 	shards    []*shardState
-	global    *setsystem.Accumulator // scratch for merged verdicts
-	stream    []int64                // full routed stream when RecordStreams
+	runs      [][]setsystem.Bin // per-shard sorted bins, reused by merged verdicts
+	stream    []int64           // full routed stream when RecordStreams
 	rounds    int
 	unionBuf  []int64 // reused by SampleView
 	admitBuf  []int   // reused by OfferBatch's per-shard admitted counts
@@ -274,24 +275,18 @@ func (e *Engine) applyShard(sh *shardState, xs []int64) int {
 }
 
 // Verdict returns the exact global discrepancy of the union stream against
-// the union of the per-shard samples, by folding every shard's accumulator
-// into one engine via MergeFrom — no raw substream is re-read, so the cost
+// the union of the per-shard samples, by one k-way sweep over the shards'
+// sorted bins (mergedVerdict) — no raw substream is re-read, so the cost
 // is proportional to distinct values, not to traffic since the last
 // checkpoint. The result is bit-identical (error AND witness) to
 // System.MaxDiscrepancy on the concatenated stream and concatenated shard
 // samples, for every routing mode, shard count and worker count.
 func (e *Engine) Verdict() setsystem.Discrepancy {
-	if e.cfg.NewSampler == nil {
-		panic("shard: Verdict requires samplers (routing-only engine)")
-	}
-	if e.global == nil {
-		e.global = e.cfg.System.NewAccumulator()
-	}
-	e.global.Reset()
-	for _, sh := range e.shards {
-		e.withSampleSynced(sh, func() { e.global.MergeFrom(sh.acc) })
-	}
-	return e.global.Max()
+	return e.mergedVerdict(0, len(e.shards), func() {
+		for i := range e.shards {
+			e.copyRun(i)
+		}
+	})
 }
 
 // ShardVerdict returns shard i's local discrepancy: its substream against
@@ -299,13 +294,39 @@ func (e *Engine) Verdict() setsystem.Discrepancy {
 // a shard can be locally representative while the union sample is not (and
 // vice versa); the shard experiments report both.
 func (e *Engine) ShardVerdict(i int) setsystem.Discrepancy {
-	sh := e.shards[i]
-	if sh.sampler == nil {
-		panic("shard: ShardVerdict requires samplers (routing-only engine)")
+	return e.mergedVerdict(i, i+1, func() { e.copyRun(i) })
+}
+
+// mergedVerdict is the one merged-verdict path, behind Engine.Verdict,
+// Serving.Verdict, VerdictCovered and both ShardVerdicts. It empties the
+// runs of shards [lo, hi), calls read — which runs copyRun(i) for each
+// shard i it can reach, behind that shard's read barrier — and, once read
+// has returned and every lock is released, merges and sweeps the runs
+// (setsystem.MergedMax). A shard read leaves out contributes nothing. The
+// run buffers are reused across calls, so a steady-state verdict
+// allocates nothing; callers serialize verdicts (the Engine is
+// single-threaded, Serving holds qmu).
+func (e *Engine) mergedVerdict(lo, hi int, read func()) setsystem.Discrepancy {
+	if e.cfg.NewSampler == nil {
+		panic("shard: verdicts require samplers (routing-only engine)")
 	}
-	var d setsystem.Discrepancy
-	e.withSampleSynced(sh, func() { d = sh.acc.Max() })
-	return d
+	if e.runs == nil {
+		e.runs = make([][]setsystem.Bin, len(e.shards))
+	}
+	runs := e.runs[lo:hi]
+	for i := range runs {
+		runs[i] = runs[i][:0]
+	}
+	read()
+	return setsystem.MergedMax(e.cfg.System, runs)
+}
+
+// copyRun copies shard i's nonzero bins, in value order, into its verdict
+// run. The caller holds shard i's read barrier (or owns the engine); the
+// copy is all that happens under it.
+func (e *Engine) copyRun(i int) {
+	sh := e.shards[i]
+	e.withSampleSynced(sh, func() { e.runs[i] = sh.acc.AppendSorted(e.runs[i][:0]) })
 }
 
 // withSampleSynced runs fn with sh.acc's sample side guaranteed to match the
