@@ -106,10 +106,11 @@ type Accumulator struct {
 	universe int64
 
 	// Coordinate compression: every distinct value ever seen gets a slot.
-	// The index is a bespoke epoch-stamped open-addressing table: lookups
-	// cost one multiply-hash and usually one probe, and Reset invalidates
-	// every entry with a single epoch bump instead of a map clear — both
-	// matter because the index sits on the per-element hot path.
+	// The index is a bespoke epoch-stamped open-addressing table whose
+	// entries hold key and slot together, so a lookup costs one
+	// multiply-hash and one cache line per probe (usually one probe); Reset
+	// invalidates every entry with a single epoch bump instead of a clear.
+	// Both matter because the index sits on the per-element hot path.
 	index accIndex
 	bins  []Bin // slot -> (value, stream multiplicity, sample multiplicity)
 
@@ -159,17 +160,18 @@ func (s Singletons) NewAccumulator() *Accumulator { return newAccumulator(accSin
 func (s Suffixes) NewAccumulator() *Accumulator { return newAccumulator(accSuffixes, s.n) }
 
 // Reserve pre-sizes the compression tables for approximately distinct
-// distinct values, avoiding incremental map growth on the per-element hot
-// path, and fixes the block-length target at ~sqrt(distinct) up front. It is
-// a no-op unless the accumulator is still empty; on a Reset accumulator it
-// re-allocates only what the previous run's capacity cannot already serve,
-// so Monte-Carlo drivers reusing one engine across games allocate nothing
-// in steady state.
+// distinct values, so the index does not double its way up on the
+// per-element hot path, and fixes the block-length target at
+// ~sqrt(distinct) up front. It is a no-op unless the accumulator is still
+// empty; on a Reset accumulator it re-allocates only what the previous
+// run's capacity cannot already serve, so Monte-Carlo drivers reusing one
+// engine across games allocate nothing in steady state. LoadSnapshot calls
+// it with the snapshot's bin count.
 func (a *Accumulator) Reserve(distinct int) {
 	if distinct <= 0 || len(a.bins) > 0 || a.index.live > 0 {
 		return
 	}
-	if 2*distinct > len(a.index.keys) {
+	if 2*distinct > len(a.index.entries) {
 		a.index.init(distinct)
 	}
 	if cap(a.bins) < distinct {
@@ -186,13 +188,19 @@ func (a *Accumulator) Reserve(distinct int) {
 // SplitMix-style multiply hashing, and epoch-stamped entries so that
 // invalidating the whole table (a new game on a reused accumulator) is one
 // epoch bump. A stale entry behaves exactly like an empty one; within an
-// epoch this is standard linear probing with no deletions.
+// epoch this is standard linear probing with no deletions. Each entry keeps
+// its key beside its epoch and slot in 16 bytes, so a probe reads one cache
+// line, not one line in a key array and another in a slot array.
 type accIndex struct {
-	keys  []int64
-	meta  []uint64 // epoch<<32 | slot; live iff epoch matches
-	mask  uint64
-	epoch uint64 // current epoch, pre-shifted into the meta layout
-	live  int    // entries inserted this epoch (for the growth threshold)
+	entries []accEntry
+	mask    uint64
+	epoch   uint64 // current epoch, pre-shifted into the meta layout
+	live    int    // entries inserted this epoch (for the growth threshold)
+}
+
+type accEntry struct {
+	key  int64
+	meta uint64 // epoch<<32 | slot; live iff epoch matches
 }
 
 func hashKey(x int64) uint64 {
@@ -208,8 +216,7 @@ func (ix *accIndex) init(capacity int) {
 	for size < 2*capacity {
 		size <<= 1
 	}
-	ix.keys = make([]int64, size)
-	ix.meta = make([]uint64, size)
+	ix.entries = make([]accEntry, size)
 	ix.mask = uint64(size - 1)
 	ix.epoch = 1 << 32
 	ix.live = 0
@@ -218,13 +225,13 @@ func (ix *accIndex) init(capacity int) {
 // reset invalidates every entry in O(1); the table is re-zeroed only when
 // the 32-bit epoch wraps.
 func (ix *accIndex) reset() {
-	if ix.keys == nil {
+	if ix.entries == nil {
 		ix.init(16)
 		return
 	}
 	ix.epoch += 1 << 32
 	if ix.epoch>>32 == 0 {
-		clear(ix.meta)
+		clear(ix.entries)
 		ix.epoch = 1 << 32
 	}
 	ix.live = 0
@@ -232,41 +239,41 @@ func (ix *accIndex) reset() {
 
 func (ix *accIndex) lookup(x int64) (int32, bool) {
 	for h := hashKey(x) & ix.mask; ; h = (h + 1) & ix.mask {
-		m := ix.meta[h]
-		if m>>32 != ix.epoch>>32 {
+		e := &ix.entries[h]
+		if e.meta>>32 != ix.epoch>>32 {
 			return 0, false
 		}
-		if ix.keys[h] == x {
-			return int32(uint32(m)), true
+		if e.key == x {
+			return int32(uint32(e.meta)), true
 		}
 	}
 }
 
 // insert adds x -> slot; x must not be present this epoch.
 func (ix *accIndex) insert(x int64, slot int32) {
-	if ix.live >= len(ix.keys)*3/4 {
+	if ix.live >= len(ix.entries)*3/4 {
 		ix.grow()
 	}
-	h := hashKey(x) & ix.mask
-	for ix.meta[h]>>32 == ix.epoch>>32 {
-		h = (h + 1) & ix.mask
-	}
-	ix.keys[h] = x
-	ix.meta[h] = ix.epoch | uint64(uint32(slot))
+	ix.place(x, ix.epoch|uint64(uint32(slot)))
 	ix.live++
 }
 
+// place stores (x, meta) in the first entry on x's probe path that is not
+// live this epoch.
+func (ix *accIndex) place(x int64, meta uint64) {
+	h := hashKey(x) & ix.mask
+	for ix.entries[h].meta>>32 == ix.epoch>>32 {
+		h = (h + 1) & ix.mask
+	}
+	ix.entries[h] = accEntry{x, meta}
+}
+
 func (ix *accIndex) grow() {
-	oldKeys, oldMeta, oldEpoch := ix.keys, ix.meta, ix.epoch>>32
-	ix.init(len(oldKeys)) // doubles: init sizes to 2*capacity
-	for i, m := range oldMeta {
-		if m>>32 == oldEpoch {
-			h := hashKey(oldKeys[i]) & ix.mask
-			for ix.meta[h]>>32 == ix.epoch>>32 {
-				h = (h + 1) & ix.mask
-			}
-			ix.keys[h] = oldKeys[i]
-			ix.meta[h] = ix.epoch | uint64(uint32(m))
+	old, oldEpoch := ix.entries, ix.epoch>>32
+	ix.init(len(old)) // doubles: init sizes to 2*capacity
+	for _, e := range old {
+		if e.meta>>32 == oldEpoch {
+			ix.place(e.key, ix.epoch|uint64(uint32(e.meta)))
 			ix.live++
 		}
 	}
@@ -290,62 +297,87 @@ func (a *Accumulator) slot(x int64) int32 {
 
 // AddStream appends one element to the stream multiset.
 func (a *Accumulator) AddStream(x int64) {
-	s := a.slot(x)
-	a.bins[s].Cx++
+	a.countStream(a.slot(x))
 	a.nx++
+}
+
+// countStream adds one stream copy to slot s: its bin and, once the slot
+// is placed, its block's aggregates.
+func (a *Accumulator) countStream(s int32) {
+	bn := &a.bins[s]
+	bn.Cx++
 	if b := a.blockOf[s]; b != nil {
-		cx := a.bins[s].Cx
 		b.sumCx++
-		if cx == 1 {
+		if bn.Cx == 1 {
 			b.nzCx++
 		}
-		if cx > b.maxCx {
-			b.maxCx = cx
+		if bn.Cx > b.maxCx {
+			b.maxCx = bn.Cx
 		}
 		b.touched = true
 		b.hullValid = false
 	}
 }
 
+// ingestChunk is the sub-chunk length of the batch ingest paths.
+const ingestChunk = 256
+
+// resolveChunk resolves the slots of the first min(len(xs), ingestChunk)
+// elements into buf, creating slots in element order exactly as
+// element-at-a-time ingest would. The batch paths resolve a whole
+// sub-chunk before they touch any count: the lookups do not depend on each
+// other, so at cardinalities whose index and bins miss cache their misses
+// overlap instead of each waiting behind the previous element's update.
+func (a *Accumulator) resolveChunk(buf *[ingestChunk]int32, xs []int64) []int32 {
+	slots := buf[:min(len(xs), ingestChunk)]
+	for i := range slots {
+		slots[i] = a.slot(xs[i])
+	}
+	return slots
+}
+
 // AddStreamBatch appends a run of consecutive stream elements. It is the
 // bulk-ingest form of AddStream used by the batched span loop of the
-// continuous game; semantically identical to calling AddStream in order.
+// continuous game and the serving pipeline; semantically identical to
+// calling AddStream in order (same slots, same snapshot bytes), but run in
+// two passes per sub-chunk: every slot first, then every count.
 //
 //robust:hotpath
 func (a *Accumulator) AddStreamBatch(xs []int64) {
-	for _, x := range xs {
-		a.AddStream(x)
+	var buf [ingestChunk]int32
+	for len(xs) > 0 {
+		slots := a.resolveChunk(&buf, xs)
+		xs = xs[len(slots):]
+		for _, s := range slots {
+			a.countStream(s)
+		}
+		a.nx += int64(len(slots))
 	}
 }
 
 // AddStreamAndSampleBatch ingests a run of elements into BOTH multisets:
 // equivalent to AddStream(x) plus AddSample(x) for each element, at one
-// index lookup instead of two. The continuous game uses it for spans where
-// the sampler admitted every element with no evictions (a filling
-// reservoir), which is where high-rate samplers spend most of their rounds.
+// index lookup instead of two, in AddStreamBatch's two passes per
+// sub-chunk. The continuous game uses it for spans where the sampler
+// admitted every element with no evictions (a filling reservoir), which is
+// where high-rate samplers spend most of their rounds.
 //
 //robust:hotpath
 func (a *Accumulator) AddStreamAndSampleBatch(xs []int64) {
-	for _, x := range xs {
-		s := a.slot(x)
-		bn := &a.bins[s]
-		bn.Cx++
-		bn.Cs++
-		if b := a.blockOf[s]; b != nil {
-			b.sumCx++
-			b.sumCs++
-			if bn.Cx == 1 {
-				b.nzCx++
+	var buf [ingestChunk]int32
+	for len(xs) > 0 {
+		slots := a.resolveChunk(&buf, xs)
+		xs = xs[len(slots):]
+		for _, s := range slots {
+			a.countStream(s)
+			a.bins[s].Cs++
+			if b := a.blockOf[s]; b != nil {
+				b.sumCs++
 			}
-			if bn.Cx > b.maxCx {
-				b.maxCx = bn.Cx
-			}
-			b.touched = true
-			b.hullValid = false
 		}
+		a.nx += int64(len(slots))
+		a.ns += int64(len(slots))
 	}
-	a.nx += int64(len(xs))
-	a.ns += int64(len(xs))
 }
 
 // AddSample adds one element to the sample multiset.

@@ -1,7 +1,10 @@
 package setsystem
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"robustsample/internal/rng"
@@ -257,35 +260,126 @@ func TestAccumulatorReusedAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestAccumulatorAddStreamBatch checks the bulk-ingest form agrees with
-// element-at-a-time AddStream, interleaved with checkpoints.
+// TestAccumulatorAddStreamBatch checks both bulk-ingest forms against
+// element-at-a-time ingest across the sub-chunk edges: batch lengths at and
+// around ingestChunk, fed in both orders into fresh accumulators whose
+// 16-entry index grows in the middle of a sub-chunk's slot pass, over
+// values inside [0, 2^31) and outside it (negative and wide: the
+// non-packable sort path). After every batch the verdict, the sorted export
+// and the snapshot bytes (slot creation order) must be identical, and the
+// verdict must equal the one-shot. A verdict after each batch places the
+// blocks, so later batches also update placed slots.
 func TestAccumulatorAddStreamBatch(t *testing.T) {
 	r := rng.New(9)
-	for _, sys := range allSystems(512) {
-		a := sys.NewAccumulator()
-		b := sys.NewAccumulator()
-		var stream []int64
-		for round := 0; round < 20; round++ {
-			batch := make([]int64, r.Intn(60))
-			for i := range batch {
-				batch[i] = 1 + r.Int63n(512)
+	lengths := []int{0, 1, ingestChunk - 1, ingestChunk, ingestChunk + 1, 1000}
+	for _, wide := range []bool{false, true} {
+		value := func() int64 {
+			x := 1 + r.Int63n(512)
+			if wide {
+				return (x - 256) << 33
 			}
-			stream = append(stream, batch...)
-			a.AddStreamBatch(batch)
-			for _, x := range batch {
-				b.AddStream(x)
-			}
-			if len(batch) > 0 {
-				x := batch[r.Intn(len(batch))]
-				a.AddSample(x)
-				b.AddSample(x)
-			}
-			da, db := a.Max(), b.Max()
-			if da != db {
-				t.Fatalf("%s: batch %v != serial %v", sys.Name(), da, db)
-			}
-			requireEqual(t, sys, da, sys.MaxDiscrepancy(stream, seqSample(b)), stream, seqSample(b))
+			return x
 		}
+		for _, sys := range allSystems(512) {
+			for _, fused := range []bool{false, true} {
+				for _, reversed := range []bool{false, true} {
+					batched, serial := sys.NewAccumulator(), sys.NewAccumulator()
+					var stream, sample []int64
+					for i := range lengths {
+						n := lengths[i]
+						if reversed {
+							n = lengths[len(lengths)-1-i]
+						}
+						batch := make([]int64, n)
+						for j := range batch {
+							batch[j] = value()
+						}
+						stream = append(stream, batch...)
+						if fused {
+							batched.AddStreamAndSampleBatch(batch)
+							for _, x := range batch {
+								serial.AddStream(x)
+								serial.AddSample(x)
+							}
+							sample = append(sample, batch...)
+						} else {
+							batched.AddStreamBatch(batch)
+							for _, x := range batch {
+								serial.AddStream(x)
+							}
+							if n > 0 {
+								x := batch[r.Intn(n)]
+								batched.AddSample(x)
+								serial.AddSample(x)
+								sample = append(sample, x)
+							}
+						}
+						requireSameState(t, sys, batched, serial)
+						checkParity(t, sys, batched, stream, sample)
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireSameState asserts two accumulators hold the same multisets in the
+// same slot order: equal verdicts, sorted exports and snapshot bytes.
+func requireSameState(t *testing.T, sys SetSystem, got, want *Accumulator) {
+	t.Helper()
+	if g, w := got.Max(), want.Max(); g != w {
+		t.Fatalf("%s: verdict %v != %v", sys.Name(), g, w)
+	}
+	if g, w := got.AppendSorted(nil), want.AppendSorted(nil); !slices.Equal(g, w) {
+		t.Fatalf("%s: sorted bins differ:\n got %v\nwant %v", sys.Name(), g, w)
+	}
+	if g, w := got.AppendSnapshot(nil), want.AppendSnapshot(nil); !bytes.Equal(g, w) {
+		t.Fatalf("%s: snapshot bytes differ", sys.Name())
+	}
+	if got.StreamLen() != want.StreamLen() || got.SampleLen() != want.SampleLen() {
+		t.Fatalf("%s: lengths %d/%d, want %d/%d", sys.Name(),
+			got.StreamLen(), got.SampleLen(), want.StreamLen(), want.SampleLen())
+	}
+}
+
+// TestAccumulatorEpochWrap drives the index across its 32-bit epoch wrap,
+// the one Reset that must clear the table: without the clear, entries
+// stamped by the first run (epoch 1, the epoch a wrap restarts at) would
+// turn live again and hand out stale slots.
+func TestAccumulatorEpochWrap(t *testing.T) {
+	for _, sys := range allSystems(1 << 10) {
+		acc := sys.NewAccumulator()
+		first := []int64{3, 5, 700}
+		acc.AddStreamBatch(first)
+		acc.Reset()
+		acc.index.epoch = math.MaxUint32 << 32 // the last epoch before the wrap
+		last := []int64{5, 9, 11, 9}
+		acc.AddStreamBatch(last)
+		requireEqual(t, sys, acc.Max(), sys.MaxDiscrepancy(last, nil), last, nil)
+
+		acc.Reset()
+		if e := acc.index.epoch >> 32; e != 1 {
+			t.Fatalf("%s: epoch after wrap %d, want 1", sys.Name(), e)
+		}
+		for _, x := range append(first, last...) {
+			if s, ok := acc.index.lookup(x); ok {
+				t.Fatalf("%s: value %d from an earlier epoch still maps to slot %d", sys.Name(), x, s)
+			}
+		}
+		stream := []int64{700, 2, 2, 1000, 5}
+		sample := []int64{2}
+		acc.AddStreamBatch(stream)
+		acc.AddSample(2)
+		for i, x := range []int64{700, 2, 1000, 5} {
+			if s, ok := acc.index.lookup(x); !ok || s != int32(i) {
+				t.Fatalf("%s: value %d at slot %d (found %v), want slot %d", sys.Name(), x, s, ok, i)
+			}
+		}
+		fresh := sys.NewAccumulator()
+		fresh.AddStreamBatch(stream)
+		fresh.AddSample(2)
+		requireSameState(t, sys, acc, fresh)
+		requireEqual(t, sys, acc.Max(), sys.MaxDiscrepancy(stream, sample), stream, sample)
 	}
 }
 
@@ -368,5 +462,53 @@ func BenchmarkAccumulatorCheckpoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		acc.AddStream(1 + r.Int63n(1<<20))
 		acc.Max()
+	}
+}
+
+// BenchmarkAccumulatorIngest times the stream side of serving ingest:
+// AddStreamBatch over 512-element chunks (the pipeline's per-lock chunk)
+// into an accumulator already in its steady state — the shard's values
+// seen and placed in blocks by one verdict. The sparse arm is one of four
+// hash-routed shards at U=2^20: ~257k distinct values, whose index and
+// bins no longer fit in cache. The dense arm is U=2^12 on one shard.
+func BenchmarkAccumulatorIngest(b *testing.B) {
+	const chunk = 512
+	for _, arm := range []struct {
+		name     string
+		universe int64
+		shards   uint64
+	}{
+		{"sparse/U=2^20", 1 << 20, 4},
+		{"dense/U=2^12", 1 << 12, 1},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			r := rng.New(1)
+			// The shard's share of a uniform stream, routed by the same
+			// hash as runtime.RouteHashBatch.
+			share := func(n int) []int64 {
+				xs := make([]int64, 0, n)
+				for len(xs) < n {
+					if x := 1 + r.Int63n(arm.universe); rng.Mix64(uint64(x))%arm.shards == 0 {
+						xs = append(xs, x)
+					}
+				}
+				return xs
+			}
+			acc := NewPrefixes(arm.universe).NewAccumulator()
+			acc.AddStreamBatch(share(1 << 20))
+			acc.Max()
+			// A fresh draw, so timed accesses do not replay slot order.
+			xs := share(1 << 20)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, off := 0, 0; i < b.N; i++ {
+				if off+chunk > len(xs) {
+					off = 0
+				}
+				acc.AddStreamBatch(xs[off : off+chunk])
+				off += chunk
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/elem")
+		})
 	}
 }

@@ -47,51 +47,87 @@ func FuzzIntervalDiscrepancyMatchesBrute(f *testing.F) {
 	})
 }
 
-// FuzzAccumulatorParity drives a random AddStream/AddSample/RemoveSample/Max
-// sequence decoded from fuzz bytes through the incremental block/hull engine
-// and demands bit-exact parity — error AND witness — with the one-shot
-// MaxDiscrepancy, for all four set systems. Small forced block lengths keep
-// the multi-block machinery (offset pass, hull queries, splits, witness
-// rescans) in play even on short inputs.
+// FuzzAccumulatorParity drives a random AddStream/AddSample/RemoveSample/
+// batch/Max sequence decoded from fuzz bytes through the incremental
+// block/hull engine and demands bit-exact parity — error AND witness — with
+// the one-shot MaxDiscrepancy, for all four set systems. A batch op feeds
+// the input's values, rotated to start after the op and repeated 1-8 times
+// (so runs cross the 256-element sub-chunk edge), through AddStreamBatch or
+// AddStreamAndSampleBatch; a twin accumulator takes every op element at a
+// time, and each checkpoint also requires the twin's sorted export and
+// snapshot bytes. Small forced block lengths keep the multi-block machinery
+// (offset pass, hull queries, splits, witness rescans) in play even on
+// short inputs.
 func FuzzAccumulatorParity(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x83, 0xc4, 0x05, 0x46})
 	f.Add([]byte{0x81, 0x81, 0x81, 0x41, 0x01})
 	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x3c, 0xbd, 0xbd})
+	f.Add([]byte{0x01, 0x42, 0xf3, 0xe0, 0xc5, 0xfb, 0x07, 0xe1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			return
 		}
 		const universe = 32
+		value := func(b byte) int64 { return int64(b&0x1f) + 1 } // [1, 32]
 		systems := []SetSystem{
 			NewPrefixes(universe), NewIntervals(universe),
 			NewSingletons(universe), NewSuffixes(universe),
 		}
 		for _, sys := range systems {
-			acc := sys.NewAccumulator()
+			acc, twin := sys.NewAccumulator(), sys.NewAccumulator()
 			acc.blockB = 3
-			var stream, sample []int64
+			var stream, sample, run []int64
 			for i, b := range data {
-				x := int64(b&0x1f) + 1 // value in [1, 32]
+				x := value(b)
 				switch op := b >> 5; {
 				case op <= 3: // AddStream (weighted: streams dominate)
 					stream = append(stream, x)
 					acc.AddStream(x)
+					twin.AddStream(x)
 				case op <= 5: // AddSample
 					sample = append(sample, x)
 					acc.AddSample(x)
+					twin.AddSample(x)
 				case op == 6: // RemoveSample of an existing element
 					if len(sample) > 0 {
 						j := i % len(sample)
 						acc.RemoveSample(sample[j])
+						twin.RemoveSample(sample[j])
 						sample[j] = sample[len(sample)-1]
 						sample = sample[:len(sample)-1]
 					}
+				case b&0x10 != 0: // batch
+					run = run[:0]
+					for rep := 0; rep <= int(b&0x07); rep++ {
+						for _, c := range data[i+1:] {
+							run = append(run, value(c))
+						}
+						for _, c := range data[:i+1] {
+							run = append(run, value(c))
+						}
+					}
+					stream = append(stream, run...)
+					if b&0x08 != 0 {
+						sample = append(sample, run...)
+						acc.AddStreamAndSampleBatch(run)
+						for _, y := range run {
+							twin.AddStream(y)
+							twin.AddSample(y)
+						}
+					} else {
+						acc.AddStreamBatch(run)
+						for _, y := range run {
+							twin.AddStream(y)
+						}
+					}
 				default: // checkpoint
 					checkParity(t, sys, acc, stream, sample)
+					requireSameState(t, sys, acc, twin)
 				}
 			}
 			checkParity(t, sys, acc, stream, sample)
+			requireSameState(t, sys, acc, twin)
 		}
 	})
 }

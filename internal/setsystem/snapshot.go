@@ -57,6 +57,7 @@ func (a *Accumulator) LoadSnapshot(r *snapshot.Reader) error {
 		return snapshot.ErrCorrupt
 	}
 	a.Reset()
+	a.Reserve(int(n))
 	for i := uint64(0); i < n; i++ {
 		val := r.Int64()
 		cx := r.Int64()
