@@ -16,12 +16,15 @@
 // sampler, at a handful of large allocations per process.
 //
 // Tenant lifecycle is hot ⇄ cold ⇄ spilled. Hot tenants own a slab slot.
-// Cold tenants are their versioned snapshot payload (the PR-4 codecs):
-// a few dozen bytes in memory, or a checksummed record in a per-shard
-// append-only spill file when WithSpillDir is set. Offers hydrate lazily;
-// a CLOCK second-chance sweep with optional TTL demotes idle tenants and
-// enforces WithMaxHotTenants. Dropped tenants leave a tombstone and fail
-// with ErrTenantEvicted.
+// Cold tenants are their versioned snapshot payload (the sampler codecs):
+// a few dozen bytes in a per-shard append-only byte log that compacts in
+// place, or a checksummed record in a per-shard append-only spill file
+// when WithSpillDir is set. Either way a cold tenant is a pointer-free
+// entry plus an offset, not a heap object. Offers hydrate lazily; a CLOCK
+// second-chance sweep with optional TTL demotes idle tenants and enforces
+// WithMaxHotTenants. Dropped tenants leave a tombstone and fail with
+// ErrTenantEvicted. Tenant ids resolve through a flat open-addressed index
+// per shard, not a Go map, so neither tier gives the GC pointers to trace.
 //
 // Ingest is batch-first: Producer.OfferBatch routes (tenant, element)
 // pairs to shards with the same 8-wide group-hash lane as the sharded
@@ -52,6 +55,7 @@ import (
 	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
 	"robustsample/internal/slab"
+	"robustsample/internal/snapshot"
 	"robustsample/sketch"
 )
 
@@ -285,16 +289,17 @@ func (c *core) classFor(n int) (int, error) {
 	return 0, fmt.Errorf("%w: sample of %d items exceeds the largest size class", ErrFarmFull, n)
 }
 
-// entry is one tenant's lifecycle record. Hot state lives in the slab slot
-// behind ref; cold state is the snapshot payload (in memory or spilled).
+// entry is one tenant's lifecycle record, 48 bytes and pointer-free. Hot
+// state lives in the slab slot behind ref. Cold state is the snapshot
+// payload at spillOff, spillLen bytes long: in the shard's cold log when
+// stateCold, in its spill file when stateSpilled (a tenant is never both).
 type entry struct {
 	id       TenantID
 	ref      slab.Ref
-	cold     []byte
 	spillOff int64
+	lastOp   uint64
 	spillLen int32
 	hotPos   int32
-	lastOp   uint64
 	state    uint8
 	refBit   bool
 }
@@ -307,7 +312,7 @@ type farmShard struct {
 	c  *core
 
 	arena   *slab.Arena
-	index   map[TenantID]int32
+	index   tenantIndex
 	entries []entry
 	hot     []int32
 	hand    int
@@ -319,8 +324,12 @@ type farmShard struct {
 	decRes sampler.Reservoir[int64]
 	decBer sampler.Bernoulli[int64]
 
-	pts []int64 // encoded-point scratch for single-tenant batches
+	pts  []int64         // encoded-point scratch for single-tenant batches
+	runs []keyedRun      // run-head scratch for keyed batches (applyKeyed)
+	enc  []byte          // tenant payload encode scratch
+	rd   snapshot.Reader // payload decoder; its reused buffer backs decRes/decBer after a load
 
+	cold  coldLog
 	spill *spillFile
 	acc   *setsystem.Accumulator
 
@@ -426,13 +435,14 @@ func build[T any](u sketch.Universe[T], kind, k int, p float64, opts []Option) (
 		sh := &farmShard{
 			c:      c,
 			arena:  arena,
-			index:  make(map[TenantID]int32),
 			r:      rng.New(0),
 			res:    sampler.Reservoir[int64]{K: k},
 			ber:    sampler.Bernoulli[int64]{P: p},
 			decRes: sampler.Reservoir[int64]{K: k},
 			decBer: sampler.Bernoulli[int64]{P: p},
 		}
+		sh.index.init(16)
+		sh.rd.ReuseInt64Slices()
 		if c.sys != nil {
 			sh.acc = c.sys.NewAccumulator()
 		}
@@ -511,7 +521,7 @@ func (f *Farm[T]) OfferBatch(id TenantID, xs []T) (int, error) {
 // hot tenant on first contact. Dropped tenants fail with ErrTenantEvicted.
 // Callers hold sh.mu.
 func (sh *farmShard) lookupOrCreate(id TenantID) (int32, error) {
-	if idx, ok := sh.index[id]; ok {
+	if idx, ok := sh.index.lookup(id); ok {
 		if sh.entries[idx].state == stateTombstone {
 			return 0, ErrTenantEvicted
 		}
@@ -529,7 +539,7 @@ func (sh *farmShard) lookupOrCreate(id TenantID) (int32, error) {
 	idx := int32(len(sh.entries))
 	sh.entries = append(sh.entries, entry{id: id, ref: ref, hotPos: -1})
 	sh.setState(&sh.entries[idx], stateHot)
-	sh.index[id] = idx
+	sh.index.insert(id, idx)
 	sh.hotPush(idx)
 	return idx, nil
 }
@@ -600,34 +610,31 @@ func (sh *farmShard) applyRun(idx int32, pts []int64) (int, error) {
 
 // migrate moves a Bernoulli sample that outgrew its slot to the next size
 // class, carrying the already-updated counter words. If the arena cannot
-// grow, the tenant is demoted to cold instead (the sample is already
-// complete in out), keeping the farm serving. Callers hold sh.mu.
+// grow, or no size class holds the sample, the tenant is demoted to cold
+// instead: the sample is already complete in out, and a cold payload has
+// no size limit, so the slot never keeps a length past its capacity. The
+// arena-full case keeps the farm serving and reports nil; the outgrown
+// case reports ErrFarmFull, and so does every later offer that would
+// hydrate the tenant. Callers hold sh.mu.
 func (sh *farmShard) migrate(idx int32, out []int64, words []uint64) error {
 	e := &sh.entries[idx]
 	class, err := sh.c.classFor(len(out))
-	if err != nil {
-		return err
-	}
-	ref, allocErr := sh.arena.Alloc(class)
-	if allocErr != nil {
-		// Demote to cold from the detached state: serialize payload from
-		// out + words, then drop the old slot.
-		payload := sh.appendPayloadRaw(nil, out, words)
-		sh.hotRemove(idx)
-		sh.arena.Free(e.ref)
-		e.ref = slab.NilRef
-		if err := sh.store(e, payload); err != nil {
-			return err
+	if err == nil {
+		if ref, allocErr := sh.arena.Alloc(class); allocErr == nil {
+			copy(sh.arena.Words(ref), words)
+			copy(sh.arena.Items(ref), out)
+			sh.arena.Free(e.ref)
+			e.ref = ref
+			return nil
 		}
-		sh.evictions++
-		return nil
 	}
-	nw := sh.arena.Words(ref)
-	copy(nw, words)
-	copy(sh.arena.Items(ref), out)
+	sh.enc = sh.appendPayloadRaw(sh.enc[:0], out, words)
+	sh.hotRemove(idx)
 	sh.arena.Free(e.ref)
-	e.ref = ref
-	return nil
+	e.ref = slab.NilRef
+	sh.store(idx, sh.enc)
+	sh.evictions++
+	return err
 }
 
 // hotPush appends an entry to the CLOCK list. Callers hold sh.mu.
@@ -678,50 +685,72 @@ func (sh *farmShard) evictOne(protect int32) bool {
 // evict demotes a hot entry to cold or spilled. Callers hold sh.mu.
 func (sh *farmShard) evict(idx int32) {
 	e := &sh.entries[idx]
-	payload := sh.appendTenantPayload(nil, e)
+	sh.enc = sh.appendTenantPayload(sh.enc[:0], e)
 	sh.hotRemove(idx)
 	sh.arena.Free(e.ref)
 	e.ref = slab.NilRef
-	// store can only fail on spill I/O errors, in which case it falls back
-	// to in-memory cold bytes and reports nil.
-	_ = sh.store(e, payload)
+	sh.store(idx, sh.enc)
 	sh.evictions++
 }
 
-// store parks a serialized tenant payload as spilled (preferred when a
-// spill file exists) or cold in-memory bytes. Callers hold sh.mu.
-func (sh *farmShard) store(e *entry, payload []byte) error {
-	if e.state == stateSpilled {
-		sh.spill.retire(e.spillLen)
-		e.spillLen = 0
-	}
+// store parks a serialized payload for an entry that holds no storage
+// (just demoted from hot, or new): a spill record when the shard has a
+// spill file, else — or when the spill write fails — a cold-log record.
+// Callers hold sh.mu.
+func (sh *farmShard) store(idx int32, payload []byte) {
 	if sh.spill != nil {
-		off, n, err := sh.spill.write(payload)
-		if err == nil {
+		if off, n, err := sh.spill.write(payload); err == nil {
+			e := &sh.entries[idx]
 			e.spillOff, e.spillLen = off, n
-			e.cold = nil
 			sh.setState(e, stateSpilled)
-			return nil
+			return
 		}
 	}
-	e.cold = payload
+	off := sh.cold.add(idx, payload, sh.entries)
+	e := &sh.entries[idx]
+	e.spillOff, e.spillLen = off, int32(len(payload))
 	sh.setState(e, stateCold)
-	return nil
+}
+
+// storedPayload returns a cold or spilled entry's payload bytes: a view
+// into the cold log or the spill file's record buffer, valid under sh.mu
+// until the next store, spill read or spill write. Callers hold sh.mu.
+func (sh *farmShard) storedPayload(e *entry) ([]byte, error) {
+	if e.state == stateSpilled {
+		return sh.spill.read(e.spillOff, e.spillLen)
+	}
+	return sh.cold.view(e.spillOff, e.spillLen), nil
+}
+
+// discard releases whatever holds an entry's state — its slab slot, cold
+// record or spill record — so the caller can install a new state. Callers
+// hold sh.mu.
+func (sh *farmShard) discard(idx int32) {
+	e := &sh.entries[idx]
+	switch e.state {
+	case stateHot:
+		sh.hotRemove(idx)
+		sh.arena.Free(e.ref)
+		e.ref = slab.NilRef
+	case stateCold:
+		sh.cold.free(e.spillOff, e.spillLen)
+	case stateSpilled:
+		sh.spill.retire(e.spillLen)
+	}
+	e.spillOff, e.spillLen = 0, 0
 }
 
 // hydrate promotes a cold or spilled tenant back into a slab slot,
 // validating the payload (checksum, codec consistency, universe range) on
-// the way in. Callers hold sh.mu.
+// the way in. It allocates nothing: the payload is a view, and it decodes
+// into the shard's scratch before the copy into the slot. Callers hold
+// sh.mu.
 func (sh *farmShard) hydrate(idx int32) error {
 	start := time.Now()
 	e := &sh.entries[idx]
-	payload := e.cold
-	if e.state == stateSpilled {
-		var err error
-		payload, err = sh.spill.read(e.spillOff, e.spillLen)
-		if err != nil {
-			return err
-		}
+	payload, err := sh.storedPayload(e)
+	if err != nil {
+		return err
 	}
 	hi, lo, n, err := sh.loadTenantPayload(payload)
 	if err != nil {
@@ -744,12 +773,8 @@ func (sh *farmShard) hydrate(idx int32) error {
 		out = sh.decBer.DetachFlat(words[rngWords:])
 	}
 	copy(sh.arena.Items(ref), out)
-	if e.state == stateSpilled {
-		sh.spill.retire(e.spillLen)
-	}
+	sh.discard(idx)
 	e.ref = ref
-	e.cold = nil
-	e.spillLen = 0
 	sh.setState(e, stateHot)
 	sh.hotPush(idx)
 	sh.hydrations++
@@ -786,7 +811,7 @@ func (f *Farm[T]) Evict(id TenantID) error {
 	sh := f.shards[f.shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.index[id]
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		return ErrUnknownTenant
 	}
@@ -834,24 +859,15 @@ func (f *Farm[T]) Drop(id TenantID) error {
 	sh := f.shards[f.shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.index[id]
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		return ErrUnknownTenant
 	}
-	e := &sh.entries[idx]
-	switch e.state {
-	case stateTombstone:
+	if sh.entries[idx].state == stateTombstone {
 		return ErrTenantEvicted
-	case stateHot:
-		sh.hotRemove(idx)
-		sh.arena.Free(e.ref)
-		e.ref = slab.NilRef
-	case stateSpilled:
-		sh.spill.retire(e.spillLen)
 	}
-	e.cold = nil
-	e.spillLen = 0
-	sh.setState(e, stateTombstone)
+	sh.discard(idx)
+	sh.setState(&sh.entries[idx], stateTombstone)
 	return nil
 }
 
@@ -896,6 +912,10 @@ type Stats struct {
 	Tenants, Hot, Cold, Spilled, Dropped int
 	// SlabBytes is the flat slot storage reserved across all shards.
 	SlabBytes int64
+	// ColdBytes is the total length of the in-memory cold logs, record
+	// headers included; ColdDeadBytes the part owned by freed records,
+	// which compaction reclaims.
+	ColdBytes, ColdDeadBytes int64
 	// SpillBytes is the total size of the spill segment files;
 	// SpillDeadBytes the fraction owned by retired records.
 	SpillBytes, SpillDeadBytes int64
@@ -919,6 +939,8 @@ func (f *Farm[T]) Stats() Stats {
 		s.Spilled += sh.byState[stateSpilled]
 		s.Dropped += sh.byState[stateTombstone]
 		s.SlabBytes += sh.arena.Stats().Bytes
+		s.ColdBytes += int64(len(sh.cold.buf))
+		s.ColdDeadBytes += int64(sh.cold.dead)
 		if sh.spill != nil {
 			s.SpillBytes += sh.spill.size
 			s.SpillDeadBytes += sh.spill.dead

@@ -467,6 +467,94 @@ func TestOfferBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestChurnSteadyStateAllocs pins the zero-alloc claim of the churn path:
+// with the hot bound far below the tenant count, keyed ingest evicts and
+// hydrates on most runs — encode into scratch, cold-log or spill record,
+// validated decode — and still allocates nothing once warm, with and
+// without a spill tier.
+func TestChurnSteadyStateAllocs(t *testing.T) {
+	for _, spill := range []bool{false, true} {
+		opts := []Option{WithShards(2), WithMaxHotTenants(8)}
+		if spill {
+			opts = append(opts, WithSpillDir(t.TempDir()))
+		}
+		f, err := NewReservoirFarm(mustU(t, 1000), 4, opts...)
+		if err != nil {
+			t.Fatalf("NewReservoirFarm: %v", err)
+		}
+		const tenants, batches, width = 256, 16, 64
+		driver := rng.New(8)
+		ids := make([][]TenantID, batches)
+		xs := make([][]int64, batches)
+		for b := range ids {
+			ids[b] = make([]TenantID, width)
+			xs[b] = make([]int64, width)
+			for i := range ids[b] {
+				ids[b][i] = TenantID(driver.Intn(tenants))
+				xs[b][i] = int64(driver.Intn(1000)) + 1
+			}
+		}
+		p := f.NewProducer()
+		b := 0
+		offer := func() {
+			if _, err := p.OfferBatch(ids[b], xs[b]); err != nil {
+				t.Fatalf("spill=%v: OfferBatch: %v", spill, err)
+			}
+			b = (b + 1) % batches
+		}
+		for i := 0; i < 50*batches; i++ {
+			offer()
+		}
+		before := f.Stats().Hydrations
+		if avg := testing.AllocsPerRun(200, offer); avg != 0 {
+			t.Fatalf("spill=%v: churning Producer.OfferBatch: %.2f allocs/op, want 0", spill, avg)
+		}
+		if h := f.Stats().Hydrations - before; h < 200*width/2 {
+			t.Fatalf("spill=%v: %d hydrations over %d elements: the workload is not churning", spill, h, 200*width)
+		}
+		f.Close()
+	}
+}
+
+// TestMigrateOutgrownClassDemotes is the regression test for a Bernoulli
+// tenant that outgrows the largest size class: migrate used to return
+// ErrFarmFull with the slot's length word past its capacity, so the next
+// offer and Sample panicked. It must demote the tenant to cold, report
+// ErrFarmFull, and keep serving the full sample.
+func TestMigrateOutgrownClassDemotes(t *testing.T) {
+	f, err := NewBernoulliFarm(mustU(t, 1000), 1, WithShards(1))
+	if err != nil {
+		t.Fatalf("NewBernoulliFarm: %v", err)
+	}
+	defer f.Close()
+	f.c.classes = f.c.classes[:2] // largest class holds 16 items
+	want := make([]int64, 20)
+	for i := range want {
+		want[i] = int64(i + 1)
+	}
+	offerOrFatal(t, f, 1, want[:8])
+	if _, err := f.OfferBatch(1, want[8:]); !errors.Is(err, ErrFarmFull) {
+		t.Fatalf("outgrowing offer: %v, want ErrFarmFull", err)
+	}
+	for step := 0; step < 2; step++ {
+		got, err := f.Sample(1)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("step %d: Sample = %v (%v), want %v", step, got, err, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: Sample = %v, want %v", step, got, want)
+			}
+		}
+		if st := f.Stats(); st.Cold != 1 || st.Hot != 0 {
+			t.Fatalf("step %d: %d cold, %d hot; want the tenant cold", step, st.Cold, st.Hot)
+		}
+		if _, err := f.OfferBatch(1, []int64{21}); !errors.Is(err, ErrFarmFull) {
+			t.Fatalf("step %d: offer to the outgrown tenant: %v, want ErrFarmFull", step, err)
+		}
+	}
+}
+
 // TestGlobalQueries covers the cross-tenant fan-in: sample size/rounds
 // accounting, determinism across identical farms, quantiles and top-k on
 // a known skew, and the discrepancy verdict in the lossless regime.

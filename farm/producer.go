@@ -83,28 +83,62 @@ func (p *Producer[T]) OfferBatch(ids []TenantID, xs []T) (int, error) {
 	return admitted, nil
 }
 
+// keyedRun is one same-tenant run of a shard's keyed batch: it ends at
+// element end (exclusive) and belongs to entry idx, or to a tenant not yet
+// in the index when idx is -1.
+type keyedRun struct {
+	end, idx int32
+}
+
 // applyKeyed ingests a shard's share of a keyed batch, grouping
 // consecutive same-tenant runs so a tenant's slot is attached once per
 // run rather than once per element.
+//
+// It works in two passes. The first resolves every run head's entry
+// before any run is applied: the lookups do not depend on each other, so
+// at a million tenants their index-slot and entry cache misses overlap
+// instead of each waiting behind the previous run's apply. The second
+// applies the runs in order, creating unknown tenants there, in element
+// order, so CLOCK order, eviction order and Stats counts are those of
+// run-at-a-time ingest. A tombstone ends the first pass early: no
+// operation under sh.mu can revive or drop a tenant, so the runs before it
+// apply and its run fails with ErrTenantEvicted, as they would one by one.
 func (sh *farmShard) applyKeyed(ids []TenantID, pts []int64) (int, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	admitted := 0
+	runs := sh.runs[:0]
 	for i := 0; i < len(ids); {
 		j := i + 1
 		for j < len(ids) && ids[j] == ids[i] {
 			j++
 		}
-		idx, err := sh.lookupOrCreate(ids[i])
-		if err != nil {
-			return admitted, err
+		idx, ok := sh.index.lookup(ids[i])
+		if !ok {
+			idx = -1
 		}
-		adm, err := sh.applyRun(idx, pts[i:j])
+		runs = append(runs, keyedRun{end: int32(j), idx: idx})
+		if ok && sh.entries[idx].state == stateTombstone {
+			break
+		}
+		i = j
+	}
+	sh.runs = runs
+	admitted, start := 0, 0
+	for _, run := range runs {
+		idx := run.idx
+		if idx < 0 {
+			// An earlier run of this batch may have created the tenant.
+			var err error
+			if idx, err = sh.lookupOrCreate(ids[start]); err != nil {
+				return admitted, err
+			}
+		}
+		adm, err := sh.applyRun(idx, pts[start:run.end])
 		admitted += adm
 		if err != nil {
 			return admitted, err
 		}
-		i = j
+		start = int(run.end)
 	}
 	return admitted, nil
 }

@@ -35,13 +35,9 @@ func (sh *farmShard) tenantState(idx int32) ([]int64, int, error) {
 		}
 		return items[:n], rounds, nil
 	}
-	payload := e.cold
-	if e.state == stateSpilled {
-		var err error
-		payload, err = sh.spill.read(e.spillOff, e.spillLen)
-		if err != nil {
-			return nil, 0, err
-		}
+	payload, err := sh.storedPayload(e)
+	if err != nil {
+		return nil, 0, err
 	}
 	if _, _, _, err := sh.loadTenantPayload(payload); err != nil {
 		return nil, 0, err
@@ -75,7 +71,7 @@ func (f *Farm[T]) Sample(id TenantID) ([]T, error) {
 	sh := f.shards[f.shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.index[id]
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		return nil, ErrUnknownTenant
 	}
@@ -94,7 +90,7 @@ func (f *Farm[T]) Rounds(id TenantID) (int, error) {
 	sh := f.shards[f.shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.index[id]
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		return 0, ErrUnknownTenant
 	}

@@ -5,7 +5,6 @@ import (
 
 	"robustsample/internal/sampler"
 	"robustsample/internal/setsystem"
-	"robustsample/internal/slab"
 	"robustsample/internal/snapshot"
 	"robustsample/sketch"
 )
@@ -31,18 +30,19 @@ import (
 // codecVersion versions the farm frame and tenant payload layout.
 const codecVersion = 1
 
-// payloadOf serializes a tenant's current state regardless of lifecycle
-// tier. Callers hold sh.mu.
+// payloadOf returns a tenant's current payload regardless of lifecycle
+// tier, as a view into shard scratch or storage that is valid only under
+// sh.mu until the shard's next payload operation; callers copy it. Callers
+// hold sh.mu.
 func (sh *farmShard) payloadOf(e *entry) ([]byte, error) {
 	switch e.state {
 	case stateHot:
-		return sh.appendTenantPayload(nil, e), nil
-	case stateCold:
-		return append([]byte(nil), e.cold...), nil
-	case stateSpilled:
-		return sh.spill.read(e.spillOff, e.spillLen)
+		sh.enc = sh.appendTenantPayload(sh.enc[:0], e)
+		return sh.enc, nil
+	case stateTombstone:
+		return nil, ErrTenantEvicted
 	}
-	return nil, ErrTenantEvicted
+	return sh.storedPayload(e)
 }
 
 // appendTenantPayload appends a hot tenant's payload. Callers hold sh.mu.
@@ -74,10 +74,13 @@ func (sh *farmShard) appendPayloadRaw(buf []byte, items []int64, words []uint64)
 // shard's decode scratch sampler: codec consistency (via the sampler
 // codecs), configuration match, no trailing bytes, and every sample point
 // inside the universe. On success the scratch holds the decoded state and
-// the tenant's RNG words and sample length are returned. Callers hold
-// sh.mu.
+// the tenant's RNG words and sample length are returned. The decoded items
+// live in the shard reader's reused buffer, so decoding allocates nothing
+// and the scratch sampler's view is valid only until the next decode.
+// Callers hold sh.mu.
 func (sh *farmShard) loadTenantPayload(payload []byte) (hi, lo uint64, n int, err error) {
-	r := snapshot.NewReader(payload)
+	r := &sh.rd
+	r.Reset(payload)
 	hi = r.Uint64()
 	lo = r.Uint64()
 	if rerr := r.Err(); rerr != nil {
@@ -120,23 +123,11 @@ func (sh *farmShard) loadTenantPayload(payload []byte) (hi, lo uint64, n int, er
 // existing state for the id (tombstones included — an explicit restore
 // revives a dropped tenant). Callers hold sh.mu.
 func (sh *farmShard) installCold(id TenantID, payload []byte) {
-	idx, ok := sh.index[id]
-	if !ok {
-		idx = int32(len(sh.entries))
-		sh.entries = append(sh.entries, entry{id: id, hotPos: -1})
-		sh.index[id] = idx
-	}
+	idx := sh.entryFor(id)
+	sh.discard(idx)
+	off := sh.cold.add(idx, payload, sh.entries)
 	e := &sh.entries[idx]
-	switch e.state {
-	case stateHot:
-		sh.hotRemove(idx)
-		sh.arena.Free(e.ref)
-	case stateSpilled:
-		sh.spill.retire(e.spillLen)
-	}
-	e.ref = slab.NilRef
-	e.spillLen = 0
-	e.cold = append([]byte(nil), payload...)
+	e.spillOff, e.spillLen = off, int32(len(payload))
 	sh.setState(e, stateCold)
 	e.refBit = false
 }
@@ -144,26 +135,24 @@ func (sh *farmShard) installCold(id TenantID, payload []byte) {
 // installTombstone records a dropped tenant from a snapshot. Callers hold
 // sh.mu.
 func (sh *farmShard) installTombstone(id TenantID) {
-	idx, ok := sh.index[id]
+	idx := sh.entryFor(id)
+	if sh.entries[idx].state == stateTombstone {
+		return
+	}
+	sh.discard(idx)
+	sh.setState(&sh.entries[idx], stateTombstone)
+}
+
+// entryFor returns id's entry index, appending a stateless entry for a new
+// id. Callers hold sh.mu.
+func (sh *farmShard) entryFor(id TenantID) int32 {
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		idx = int32(len(sh.entries))
 		sh.entries = append(sh.entries, entry{id: id, hotPos: -1})
-		sh.index[id] = idx
+		sh.index.insert(id, idx)
 	}
-	e := &sh.entries[idx]
-	switch e.state {
-	case stateHot:
-		sh.hotRemove(idx)
-		sh.arena.Free(e.ref)
-	case stateSpilled:
-		sh.spill.retire(e.spillLen)
-	case stateTombstone:
-		return
-	}
-	e.ref = slab.NilRef
-	e.cold = nil
-	e.spillLen = 0
-	sh.setState(e, stateTombstone)
+	return idx
 }
 
 // SnapshotTenant serializes one tenant's complete state — sample, counters
@@ -176,15 +165,11 @@ func (f *Farm[T]) SnapshotTenant(id TenantID) ([]byte, error) {
 	sh := f.shards[f.shardOf(id)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	idx, ok := sh.index[id]
+	idx, ok := sh.index.lookup(id)
 	if !ok {
 		return nil, ErrUnknownTenant
 	}
-	e := &sh.entries[idx]
-	if e.state == stateTombstone {
-		return nil, ErrTenantEvicted
-	}
-	payload, err := sh.payloadOf(e)
+	payload, err := sh.payloadOf(&sh.entries[idx])
 	if err != nil {
 		return nil, err
 	}
@@ -381,17 +366,11 @@ func (f *Farm[T]) Restore(data []byte) error {
 	for _, sh := range f.shards {
 		sh.mu.Lock()
 		for i := range sh.entries {
-			e := &sh.entries[i]
-			switch e.state {
-			case stateHot:
-				sh.hotRemove(int32(i))
-				sh.arena.Free(e.ref)
-			case stateSpilled:
-				sh.spill.retire(e.spillLen)
-			}
+			sh.discard(int32(i))
 		}
 		sh.entries = sh.entries[:0]
-		sh.index = make(map[TenantID]int32)
+		sh.index.reset()
+		sh.cold.reset()
 		sh.hot = sh.hot[:0]
 		sh.hand = 0
 		clear(sh.byState[:])

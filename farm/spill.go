@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ type spillFile struct {
 	size int64
 	live int64
 	dead int64
+	rec  []byte // record buffer reused by write and read
 }
 
 // spillHeader is the per-record overhead: an 8-byte checksum.
@@ -45,36 +47,35 @@ func openSpill(dir string, shard int) (*spillFile, error) {
 }
 
 // write appends one checksummed record and returns its offset and length
-// (payload length, excluding the header).
+// (payload length, excluding the header). The record is assembled in the
+// file's reused record buffer.
 func (sp *spillFile) write(payload []byte) (off int64, n int32, err error) {
-	rec := make([]byte, spillHeader+len(payload))
-	sum := fnv64a(payload)
-	for i := 0; i < spillHeader; i++ {
-		rec[i] = byte(sum >> (8 * i))
-	}
-	copy(rec[spillHeader:], payload)
+	sp.rec = binary.LittleEndian.AppendUint64(sp.rec[:0], fnv64a(payload))
+	sp.rec = append(sp.rec, payload...)
 	off = sp.size
-	if _, err := sp.f.WriteAt(rec, off); err != nil {
+	if _, err := sp.f.WriteAt(sp.rec, off); err != nil {
 		return 0, 0, err
 	}
-	sp.size += int64(len(rec))
-	sp.live += int64(len(rec))
+	sp.size += int64(len(sp.rec))
+	sp.live += int64(len(sp.rec))
 	return off, int32(len(payload)), nil
 }
 
 // read returns the payload of the record at off, verifying its checksum.
-// Corrupt or truncated records fail with ErrBadSnapshot.
+// Corrupt or truncated records fail with ErrBadSnapshot. The payload is a
+// view into the file's reused record buffer, valid until the next read or
+// write.
 func (sp *spillFile) read(off int64, n int32) ([]byte, error) {
-	rec := make([]byte, spillHeader+int(n))
+	size := spillHeader + int(n)
+	if cap(sp.rec) < size {
+		sp.rec = make([]byte, size)
+	}
+	rec := sp.rec[:size]
 	if _, err := sp.f.ReadAt(rec, off); err != nil {
 		return nil, fmt.Errorf("%w: spill record at %d: %v", ErrBadSnapshot, off, err)
 	}
-	want := uint64(0)
-	for i := 0; i < spillHeader; i++ {
-		want |= uint64(rec[i]) << (8 * i)
-	}
 	payload := rec[spillHeader:]
-	if fnv64a(payload) != want {
+	if fnv64a(payload) != binary.LittleEndian.Uint64(rec) {
 		return nil, fmt.Errorf("%w: spill record at %d: checksum mismatch", ErrBadSnapshot, off)
 	}
 	return payload, nil

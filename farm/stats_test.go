@@ -43,6 +43,10 @@ func checkRecount(t *testing.T, f *Farm[int64], step string) Stats {
 	if got := f.Tenants(); got != tenants {
 		t.Fatalf("%s: Tenants() = %d, recount %d", step, got, tenants)
 	}
+	live, dead := checkColdLogs(t, f)
+	if st.ColdBytes != live+dead || st.ColdDeadBytes != dead {
+		t.Fatalf("%s: Stats cold bytes/dead = %d/%d, recount %d/%d", step, st.ColdBytes, st.ColdDeadBytes, live+dead, dead)
+	}
 	return st
 }
 

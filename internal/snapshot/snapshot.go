@@ -78,12 +78,24 @@ func AppendBytes(buf []byte, b []byte) []byte {
 // returns zero values, so codecs can decode a whole frame and check Err
 // once.
 type Reader struct {
-	data []byte
-	err  error
+	data  []byte
+	err   error
+	reuse bool    // Int64Slice decodes into ints instead of a fresh slice
+	ints  []int64 // Int64Slice's reused buffer (see ReuseInt64Slices)
 }
 
 // NewReader returns a Reader over data.
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Reset points r at data and clears its sticky error, keeping the buffer
+// of ReuseInt64Slices, so one Reader can decode many payloads.
+func (r *Reader) Reset(data []byte) { r.data, r.err = data, nil }
+
+// ReuseInt64Slices makes Int64Slice decode into one buffer that r keeps
+// and regrows, instead of allocating a fresh slice per call. Every slice
+// Int64Slice returns then aliases that buffer and is overwritten by the
+// next call, so it suits decoders that validate and copy out at once.
+func (r *Reader) ReuseInt64Slices() { r.reuse = true }
 
 // Err returns the sticky decode error, nil if all reads so far succeeded.
 func (r *Reader) Err() error { return r.err }
@@ -182,12 +194,21 @@ func (r *Reader) Bytes() []byte {
 }
 
 // Int64Slice reads a length-prefixed []int64; a zero length yields nil.
+// The slice is fresh unless ReuseInt64Slices is set.
 func (r *Reader) Int64Slice() []int64 {
 	n := r.sliceLen(8)
 	if n == 0 {
 		return nil
 	}
-	out := make([]int64, n)
+	var out []int64
+	if !r.reuse {
+		out = make([]int64, n)
+	} else {
+		if cap(r.ints) < n {
+			r.ints = make([]int64, n)
+		}
+		out = r.ints[:n]
+	}
 	for i := range out {
 		out[i] = r.Int64()
 	}
